@@ -1,21 +1,13 @@
-// Microbenchmarks of the radio/MAC hot path: a broadcast storm, a unicast
+// Microbenchmarks of the radio/MAC hot path (sim/radio.{h,cc} and the
+// collision kernel in sim/collision.{h,cc}): a broadcast storm, a unicast
 // convergecast toward the basestation, and a collision-heavy synchronized
-// grid burst, each at N in {63, 121, 500, 1000}. `LegacyRadio` is a
-// faithful copy of the seed implementation -- every transmission walks all
-// N nodes through the delivery matrix, and carrier sense / collision /
-// half-duplex checks each linearly scan a shared history vector, with the
-// frame airtime recomputed on every channel attempt -- kept here so the
-// neighborhood-indexed rework in sim/radio.{h,cc} is benchmarked against
-// it in the same binary (the same pattern micro_event_queue uses). Both
-// variants use the same BackoffWindow and draw RNG identically, so they
-// simulate the identical transmission schedule: the measured difference is
-// purely the per-event data-structure work. The PR-3 acceptance bar is
-// >= 3x events/second on the broadcast storm at N = 500.
+// grid burst, each at N in {63, 121, 500, 1000}. The seed dense-scan radio
+// these were once compared against in-binary is gone; its ratios remain
+// in the BENCH_radio.json history. The benches keep their
+// `<IndexedRadio>` template names so that history stays comparable.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
-#include <deque>
-#include <functional>
 #include <map>
 #include <queue>
 #include <utility>
@@ -33,201 +25,6 @@ namespace {
 using sim::EventQueue;
 using sim::RadioOptions;
 using sim::Topology;
-
-// ---------------------------------------------------------------------------
-// The seed Radio, verbatim except that (a) hooks irrelevant to the bench
-// (drop/deliver observers) collapse to counters and (b) the CSMA window
-// comes from sim::Radio::BackoffWindow so both variants schedule
-// identically.
-class LegacyRadio {
- public:
-  LegacyRadio(const Topology* topology, const RadioOptions& options, EventQueue* queue,
-              uint64_t seed)
-      : topology_(topology),
-        options_(options),
-        queue_(queue),
-        rng_(MixSeed(seed, /*entity_id=*/0xAD10), /*stream=*/0xAD10),
-        mac_(static_cast<size_t>(topology->num_nodes())),
-        alive_(static_cast<size_t>(topology->num_nodes()), true) {}
-
-  using SendDoneHook = std::function<void(NodeId, const Packet&, bool)>;
-  void set_send_done_hook(SendDoneHook hook) { send_done_hook_ = std::move(hook); }
-
-  uint64_t transmissions() const { return transmissions_; }
-  uint64_t deliveries() const { return deliveries_; }
-
-  void Send(NodeId src, Packet pkt) {
-    if (!alive_[src]) return;
-    pkt.hdr.link_src = src;
-    OutFrame frame;
-    frame.pkt = std::move(pkt);
-    frame.retries_left =
-        (frame.pkt.hdr.link_dst == kBroadcastId) ? 0 : options_.unicast_retries;
-    mac_[src].queue.push_back(std::move(frame));
-    TryStart(src);
-  }
-
- private:
-  struct OutFrame {
-    Packet pkt;
-    int retries_left = 0;
-    int channel_attempts = 0;
-    bool seq_assigned = false;
-  };
-
-  struct MacState {
-    std::deque<OutFrame> queue;
-    bool transmitting = false;
-    bool backoff_scheduled = false;
-    uint16_t next_seq = 1;
-  };
-
-  struct Transmission {
-    NodeId src = kInvalidNodeId;
-    SimTime start = 0;
-    SimTime end = 0;
-  };
-
-  SimTime Airtime(int wire_size) const {
-    double bits = static_cast<double>(options_.link_header_bytes + wire_size) * 8.0;
-    return static_cast<SimTime>(bits / options_.bitrate_bps * kSecond);
-  }
-
-  bool ChannelBusy(NodeId node) const {
-    SimTime now = queue_->now();
-    for (const Transmission& tx : history_) {
-      if (tx.end <= now) continue;
-      if (tx.src == node) return true;
-      if (topology_->delivery_prob(tx.src, node) >= options_.interference_threshold) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  bool Collided(NodeId receiver, NodeId sender, SimTime start, SimTime end) const {
-    if (!options_.model_collisions) return false;
-    double signal = topology_->delivery_prob(sender, receiver);
-    for (const Transmission& tx : history_) {
-      if (tx.src == sender || tx.src == receiver) continue;
-      if (tx.end <= start || tx.start >= end) continue;
-      double interference = topology_->delivery_prob(tx.src, receiver);
-      if (interference < options_.interference_threshold) continue;
-      if (interference >= options_.capture_ratio * signal) return true;
-    }
-    return false;
-  }
-
-  bool WasTransmitting(NodeId node, SimTime start, SimTime end) const {
-    for (const Transmission& tx : history_) {
-      if (tx.src != node) continue;
-      if (tx.end <= start || tx.start >= end) continue;
-      return true;
-    }
-    return false;
-  }
-
-  void PruneTransmissions() {
-    SimTime horizon = queue_->now() - 4 * Airtime(options_.max_packet_bytes);
-    std::erase_if(history_, [horizon](const Transmission& tx) { return tx.end < horizon; });
-  }
-
-  void TryStart(NodeId src) {
-    MacState& mac = mac_[src];
-    if (mac.transmitting || mac.backoff_scheduled || mac.queue.empty()) return;
-
-    OutFrame& frame = mac.queue.front();
-    if (ChannelBusy(src)) {
-      ++frame.channel_attempts;
-      if (frame.channel_attempts >= options_.max_channel_attempts) {
-        OutFrame dropped = std::move(mac.queue.front());
-        mac.queue.pop_front();
-        if (send_done_hook_) send_done_hook_(src, dropped.pkt, false);
-        TryStart(src);
-        return;
-      }
-      SimTime window = sim::Radio::BackoffWindow(options_, frame.channel_attempts);
-      SimTime delay = 1 + rng_.UniformInt(0, window - 1);
-      mac.backoff_scheduled = true;
-      queue_->ScheduleAfter(delay, [this, src] {
-        mac_[src].backoff_scheduled = false;
-        TryStart(src);
-      });
-      return;
-    }
-
-    if (!frame.seq_assigned) {
-      frame.pkt.hdr.seq = mac.next_seq++;
-      frame.seq_assigned = true;
-    }
-    ++transmissions_;
-    SimTime start = queue_->now();
-    SimTime end = start + Airtime(frame.pkt.WireSize());
-    history_.push_back(Transmission{src, start, end});
-    mac.transmitting = true;
-    queue_->ScheduleAt(end, [this, src, start, end] { FinishTx(src, start, end); });
-  }
-
-  void FinishTx(NodeId src, SimTime start, SimTime end) {
-    MacState& mac = mac_[src];
-    mac.transmitting = false;
-    if (mac.queue.empty()) return;
-
-    OutFrame& frame = mac.queue.front();
-    const Packet& pkt = frame.pkt;
-    NodeId dst = pkt.hdr.link_dst;
-    bool dst_received = false;
-
-    int n = topology_->num_nodes();
-    for (NodeId r = 0; r < n; ++r) {
-      if (r == src) continue;
-      if (!alive_[r]) continue;
-      double p = topology_->delivery_prob(src, r);
-      if (p <= 0.0) continue;
-      if (!rng_.Bernoulli(p)) continue;
-      if (WasTransmitting(r, start, end)) continue;
-      if (Collided(r, src, start, end)) continue;
-      if (dst == r) dst_received = true;
-      ++deliveries_;
-    }
-
-    if (dst == kBroadcastId) {
-      Packet sent = std::move(mac.queue.front().pkt);
-      mac.queue.pop_front();
-      if (send_done_hook_) send_done_hook_(src, sent, true);
-    } else {
-      double p_ack = std::pow(topology_->delivery_prob(dst, src),
-                              options_.ack_shortness_exponent);
-      bool acked = dst_received && rng_.Bernoulli(p_ack);
-      if (acked) {
-        Packet sent = std::move(mac.queue.front().pkt);
-        mac.queue.pop_front();
-        if (send_done_hook_) send_done_hook_(src, sent, true);
-      } else if (frame.retries_left > 0) {
-        --frame.retries_left;
-        frame.channel_attempts = 0;
-      } else {
-        Packet sent = std::move(mac.queue.front().pkt);
-        mac.queue.pop_front();
-        if (send_done_hook_) send_done_hook_(src, sent, false);
-      }
-    }
-
-    PruneTransmissions();
-    TryStart(src);
-  }
-
-  const Topology* topology_;
-  RadioOptions options_;
-  EventQueue* queue_;
-  Rng rng_;
-  std::vector<MacState> mac_;
-  std::vector<bool> alive_;
-  std::vector<Transmission> history_;
-  SendDoneHook send_done_hook_;
-  uint64_t transmissions_ = 0;
-  uint64_t deliveries_ = 0;
-};
 
 // ---------------------------------------------------------------------------
 // Thin adapter so sim::Radio exposes the same counters the bench reports.
@@ -255,7 +52,7 @@ class IndexedRadio {
 
 // ---------------------------------------------------------------------------
 // Topology caches (construction is expensive at N = 1000; build once per
-// process and share across variants so both run the identical graph).
+// process).
 const Topology& CachedRandom(int n) {
   static auto* cache = new std::map<int, Topology>();
   auto it = cache->find(n);
@@ -353,7 +150,6 @@ void BM_BroadcastStorm(benchmark::State& state) {
   state.counters["tx"] = static_cast<double>(radio.transmissions());
   state.counters["rx"] = static_cast<double>(radio.deliveries());
 }
-BENCHMARK_TEMPLATE(BM_BroadcastStorm, LegacyRadio)->Arg(63)->Arg(121)->Arg(500)->Arg(1000);
 BENCHMARK_TEMPLATE(BM_BroadcastStorm, IndexedRadio)->Arg(63)->Arg(121)->Arg(500)->Arg(1000);
 
 // ---------------------------------------------------------------------------
@@ -390,7 +186,6 @@ void BM_UnicastConvergecast(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
   state.counters["tx"] = static_cast<double>(radio.transmissions());
 }
-BENCHMARK_TEMPLATE(BM_UnicastConvergecast, LegacyRadio)->Arg(63)->Arg(121)->Arg(500)->Arg(1000);
 BENCHMARK_TEMPLATE(BM_UnicastConvergecast, IndexedRadio)->Arg(63)->Arg(121)->Arg(500)->Arg(1000);
 
 // ---------------------------------------------------------------------------
@@ -416,7 +211,6 @@ void BM_CollisionGridBurst(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
   state.counters["tx"] = static_cast<double>(radio.transmissions());
 }
-BENCHMARK_TEMPLATE(BM_CollisionGridBurst, LegacyRadio)->Arg(63)->Arg(121)->Arg(500)->Arg(1000);
 BENCHMARK_TEMPLATE(BM_CollisionGridBurst, IndexedRadio)->Arg(63)->Arg(121)->Arg(500)->Arg(1000);
 
 }  // namespace

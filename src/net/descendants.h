@@ -7,7 +7,6 @@
 #define SCOOP_NET_DESCENDANTS_H_
 
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -37,7 +36,7 @@ class DescendantsTable {
   std::optional<NodeId> NextHop(NodeId dst) const;
 
   /// True iff `dst` is a known descendant.
-  bool Contains(NodeId dst) const { return entries_.count(dst) > 0; }
+  bool Contains(NodeId dst) const { return Find(dst) != entries_.end(); }
 
   /// Forgets a child branch entirely (e.g., when the child stops being a
   /// neighbor); all descendants routed via it are dropped.
@@ -46,21 +45,32 @@ class DescendantsTable {
   /// Drops entries not refreshed within the eviction timeout.
   void EvictStale(SimTime now);
 
-  /// All known descendant ids (unordered).
+  /// All known descendant ids, ascending.
   std::vector<NodeId> Ids() const;
 
   size_t size() const { return entries_.size(); }
 
  private:
   struct Entry {
+    NodeId id = kInvalidNodeId;  ///< The descendant.
     NodeId via_child = kInvalidNodeId;
     SimTime last_update = 0;
   };
 
+  /// First entry with id >= `id` (the insertion point when absent).
+  std::vector<Entry>::iterator LowerBound(NodeId id);
+  /// The entry for `id`, or end() if absent.
+  std::vector<Entry>::const_iterator Find(NodeId id) const;
+
+  /// Evicts the least recently updated entry, the lowest id on ties.
   void EvictOldest();
 
   DescendantsOptions options_;
-  std::unordered_map<NodeId, Entry> entries_;
+  // Bounded at `capacity` (32 in the paper) and touched on every forwarded
+  // summary and reply, so -- like NeighborTable and RoutingTree -- a flat
+  // id-sorted vector reserved once: lookups are a binary search over a few
+  // cache lines, inserts never allocate, and iteration is ascending id.
+  std::vector<Entry> entries_;
 };
 
 }  // namespace scoop::net

@@ -71,9 +71,8 @@ class Network::Host : public Context {
   /// Up to this many nodes, per-sender slots are a flat array indexed by
   /// NodeId: one array load per received packet instead of a hash probe.
   /// The flat form is 4*N bytes per host -- O(N^2) across the network --
-  /// so past this bound (where 4*N^2 would outgrow every other structure,
-  /// the same tradeoff as the topology's dense delivery matrix) hosts fall
-  /// back to a map that grows only with senders actually heard.
+  /// so past this bound (where 4*N^2 would outgrow every other structure)
+  /// hosts fall back to a map that grows only with senders actually heard.
   static constexpr int kFlatSeqMaxNodes = 4096;
 
   /// Link-layer duplicate: same sequence number as the previous packet from

@@ -16,36 +16,19 @@ Radio::Radio(const Topology* topology, const RadioOptions& options, EventQueue* 
       mac_(static_cast<size_t>(topology->num_nodes())),
       alive_(static_cast<size_t>(topology->num_nodes()), true),
       active_tx_(topology->num_nodes()),
-      node_tx_(static_cast<size_t>(topology->num_nodes())) {
+      node_tx_(static_cast<size_t>(topology->num_nodes())),
+      collisions_(topology, options, Airtime(options.max_packet_bytes)) {
   SCOOP_CHECK(topology != nullptr);
   SCOOP_CHECK(queue != nullptr);
-  max_airtime_ = Airtime(options_.max_packet_bytes);
   // The topology precomputes interferer sets at its default threshold; a
   // radio configured with a different threshold builds matching sets once
-  // here. Either way the hot path reads one resolved pointer.
+  // here. Either way carrier sense reads one resolved pointer.
   if (options_.interference_threshold == Topology::kInterferenceThreshold) {
     interferers_ = &topology->interferer_sets();
   } else {
     own_interferers_ = topology->BuildInterfererSets(options_.interference_threshold);
     interferers_ = &own_interferers_;
   }
-  // Geometric collision prefilter: an interferer must be within audible
-  // range of a receiver, and every receiver is within audible range of
-  // the sender, so only transmitters within twice the longest audible
-  // link can corrupt any reception of this frame (interferer sets are
-  // subsets of the audible sets). Computed once over the CSR links;
-  // conservative, so verdicts are unchanged.
-  double max_d2 = 0;
-  for (NodeId i = 0; i < topology->num_nodes(); ++i) {
-    const Point& a = topology->position(i);
-    for (const Topology::Link& link : topology->audible_from(i)) {
-      const Point& b = topology->position(link.to);
-      double dx = a.x - b.x;
-      double dy = a.y - b.y;
-      max_d2 = std::max(max_d2, dx * dx + dy * dy);
-    }
-  }
-  collide_range2_ = 4.0 * max_d2;  // (2 * max audible distance)^2.
 }
 
 void Radio::EnableObservability(obs::TraceSink* trace,
@@ -60,6 +43,7 @@ void Radio::EnableObservability(obs::TraceSink* trace,
     ctr_deliveries_ = metrics->Counter("radio.deliveries");
     ctr_drops_busy_ = metrics->Counter("radio.drops_channel_busy");
     ctr_drops_noack_ = metrics->Counter("radio.drops_no_ack");
+    ctr_rx_collided_ = metrics->Counter("radio.rx_collided");
   }
 }
 
@@ -145,40 +129,6 @@ bool Radio::ChannelBusy(NodeId node) const {
                            [&](NodeId a) { return node_tx_[a][0].end > now; });
 }
 
-void Radio::CollectInterferers(NodeId sender, SimTime start, SimTime end) {
-  collide_scratch_.clear();
-  if (!options_.model_collisions) return;
-  // Ring entries are in start order; anything whose start is more than one
-  // max airtime before the window cannot reach into it. The window scan
-  // runs once per completion -- per receiver only the (usually empty)
-  // overlap list is consulted.
-  const Point& s = topology_->position(sender);
-  for (size_t i = ring_.size(); i-- > ring_head_;) {
-    const Transmission& tx = ring_[i];
-    if (tx.start + max_airtime_ <= start) break;
-    if (tx.src == sender) continue;
-    if (tx.end <= start || tx.start >= end) continue;  // No time overlap.
-    const Point& p = topology_->position(tx.src);
-    double dx = s.x - p.x;
-    double dy = s.y - p.y;
-    if (dx * dx + dy * dy > collide_range2_) continue;  // Too far to matter.
-    collide_scratch_.push_back(tx.src);
-  }
-}
-
-bool Radio::Collided(NodeId receiver, NodeId sender) const {
-  double signal = topology_->delivery_prob(sender, receiver);
-  const InterfererSet& audible = (*interferers_)[receiver];
-  for (NodeId isrc : collide_scratch_) {
-    if (isrc == receiver) continue;
-    if (!audible.Test(isrc)) continue;  // Too weak to interfere.
-    double interference = topology_->delivery_prob(isrc, receiver);
-    // Capture: a clearly stronger signal survives a weak interferer.
-    if (interference >= options_.capture_ratio * signal) return true;
-  }
-  return false;
-}
-
 bool Radio::WasTransmitting(NodeId node, SimTime start, SimTime end) const {
   // A node's transmissions are serial, so of all its frames only the most
   // recent one starting before `end` can overlap [start, end] -- and at
@@ -188,20 +138,6 @@ bool Radio::WasTransmitting(NodeId node, SimTime start, SimTime end) const {
     if (t.start < end && t.end > start) return true;
   }
   return false;
-}
-
-void Radio::PruneRing() {
-  // Anything that started more than five max-length frames ago can no
-  // longer overlap a transmission still in flight.
-  SimTime horizon = queue_->now() - 4 * max_airtime_;
-  while (ring_head_ < ring_.size() && ring_[ring_head_].start + max_airtime_ < horizon) {
-    ++ring_head_;
-  }
-  // Amortized O(1): drop the dead prefix once it dominates the buffer.
-  if (ring_head_ >= 64 && ring_head_ * 2 >= ring_.size()) {
-    ring_.erase(ring_.begin(), ring_.begin() + static_cast<ptrdiff_t>(ring_head_));
-    ring_head_ = 0;
-  }
 }
 
 void Radio::TryStart(NodeId src) {
@@ -263,7 +199,7 @@ void Radio::TryStart(NodeId src) {
                  "type", static_cast<uint64_t>(frame.pkt.hdr.type), "seq",
                  static_cast<uint64_t>(frame.pkt.hdr.seq));
   }
-  ring_.push_back(Transmission{src, start, end});
+  collisions_.Insert(src, start, end);
   node_tx_[src][1] = node_tx_[src][0];
   node_tx_[src][0] = TxSpan{start, end};
   active_tx_.Set(src);
@@ -297,15 +233,14 @@ void Radio::FinishTx(NodeId src, SimTime start, SimTime end, uint32_t gen) {
   bool dst_received = false;
 
   // Only the sender's audible out-neighbors can receive; the CSR list
-  // visits them in ascending id, exactly the order (and with exactly the
-  // Bernoulli draws) the dense matrix walk used.
+  // visits them in ascending id, the order the Bernoulli draws are pinned
+  // to.
   // Fault windows scale link probabilities; the draw below still happens
   // for every audible link (even at probability 0), so an inactive channel
   // consumes the shared RNG stream exactly as a fault-free build does.
   // Windows are evaluated at the transmission end (= delivery instant).
   bool faulted = fault_ != nullptr && fault_->active();
-  CollectInterferers(src, start, end);
-  const bool maybe_collided = !collide_scratch_.empty();
+  const bool maybe_collided = collisions_.Open(src, start, end);
   for (const Topology::Link& link : topology_->audible_from(src)) {
     NodeId r = link.to;
     if (!alive_[r]) continue;  // Dead radios hear nothing.
@@ -313,7 +248,10 @@ void Radio::FinishTx(NodeId src, SimTime start, SimTime end, uint32_t gen) {
     if (faulted) p *= fault_->Scale(src, r, end);
     if (!rng_.Bernoulli(p)) continue;                   // Link loss.
     if (WasTransmitting(r, start, end)) continue;       // Half duplex.
-    if (maybe_collided && Collided(r, src)) continue;   // Corrupted.
+    if (maybe_collided && collisions_.Corrupted(r, link.prob)) {
+      if (ctr_rx_collided_ != nullptr) ++*ctr_rx_collided_;
+      continue;
+    }
     bool addressed = (dst == kBroadcastId) || (dst == r);
     if (dst == r) dst_received = true;
     if (ctr_deliveries_ != nullptr) ++*ctr_deliveries_;
@@ -360,7 +298,7 @@ void Radio::FinishTx(NodeId src, SimTime start, SimTime end, uint32_t gen) {
     }
   }
 
-  PruneRing();
+  collisions_.Prune(queue_->now());
   TryStart(src);
 }
 

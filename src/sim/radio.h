@@ -6,13 +6,13 @@
 // (DESIGN.md S2).
 //
 // Hot-path design: one transmission touches only the sender's audible
-// out-neighbors (the topology's CSR lists), not all N nodes, and channel
-// queries (carrier sense, collision, half-duplex) run on per-node indexes
-// -- an active-transmitter bitmap intersected with the receiver's
-// interferer set, each node's last two transmission spans, and a
-// time-ordered ring of recent transmissions pruned from the front -- in
-// place of the seed's linear scans over a shared history vector. One
-// broadcast is O(degree + overlapping transmissions) instead of O(N * H).
+// out-neighbors (the topology's CSR lists), not all N nodes. Carrier sense
+// intersects an active-transmitter bitmap with the node's interferer set;
+// half duplex reads each node's last two transmission spans; collisions
+// go through the CollisionKernel (sim/collision.h), which scatters the
+// CSR rows of the overlapping transmitters into per-receiver slots once
+// per completion. One broadcast costs O(degree + the overlapping
+// transmitters' degrees).
 #ifndef SCOOP_SIM_RADIO_H_
 #define SCOOP_SIM_RADIO_H_
 
@@ -27,6 +27,7 @@
 #include "net/wire.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sim/collision.h"
 #include "sim/event_queue.h"
 #include "sim/radio_options.h"
 #include "sim/topology.h"
@@ -133,13 +134,6 @@ class Radio {
     uint32_t tx_gen = 0;
   };
 
-  /// One transmission, as kept in the recent-transmissions ring.
-  struct Transmission {
-    NodeId src = kInvalidNodeId;
-    SimTime start = 0;
-    SimTime end = 0;
-  };
-
   /// A node's transmission interval, for half-duplex / self-busy checks.
   struct TxSpan {
     SimTime start = 0;
@@ -154,21 +148,8 @@ class Radio {
   void FinishTx(NodeId src, SimTime start, SimTime end, uint32_t gen);
   /// True iff `node` senses an audible transmission in progress.
   bool ChannelBusy(NodeId node) const;
-  /// Collects into `collide_scratch_` the sources of ring transmissions
-  /// (other than `sender`'s own) overlapping [start,end): the only
-  /// candidates that can corrupt any reception of this frame. One ring
-  /// walk per completion, shared by every receiver.
-  void CollectInterferers(NodeId sender, SimTime start, SimTime end);
-  /// True iff reception at `receiver` was corrupted by one of the
-  /// collected candidates. Same verdict as scanning the ring per receiver
-  /// (a pure predicate -- no RNG), at O(candidates) per receiver instead
-  /// of O(ring window).
-  bool Collided(NodeId receiver, NodeId sender) const;
   /// True iff `node` was itself transmitting at any point in [start,end].
   bool WasTransmitting(NodeId node, SimTime start, SimTime end) const;
-  /// Advances the ring head past transmissions that can no longer overlap
-  /// anything, compacting the buffer once the dead prefix dominates.
-  void PruneRing();
 
   const Topology* topology_;
   RadioOptions options_;
@@ -180,10 +161,11 @@ class Radio {
   std::vector<bool> alive_;
 
   // --- Neighborhood-indexed channel state ---
-  /// Per-receiver interferer sets, resolved once at construction: the
-  /// topology's precomputed sets when options_.interference_threshold
-  /// matches their threshold, else own_interferers_. Sparse-list or bitmap
-  /// form per receiver (InterfererSet), with identical query semantics.
+  /// Per-receiver interferer sets for carrier sense, resolved once at
+  /// construction: the topology's precomputed sets when
+  /// options_.interference_threshold matches their threshold, else
+  /// own_interferers_. Sparse-list or bitmap form per receiver
+  /// (InterfererSet), with identical query semantics.
   const std::vector<InterfererSet>* interferers_ = nullptr;
   std::vector<InterfererSet> own_interferers_;
   /// Nodes with a transmission currently on the air.
@@ -193,19 +175,8 @@ class Radio {
   /// frame starting before a query window's end can overlap the window --
   /// plus at most one frame starting exactly at the window's end instant.
   std::vector<std::array<TxSpan, 2>> node_tx_;
-  /// Recent + active transmissions in start order; start times are
-  /// monotone, so overlap queries walk backward from the tail and stop at
-  /// the first entry older than one max airtime before the window.
-  std::vector<Transmission> ring_;
-  size_t ring_head_ = 0;  ///< First live ring entry (amortized pruning).
-  /// Airtime of a maximum-size frame: the overlap/prune horizon, computed
-  /// once instead of per FinishTx.
-  SimTime max_airtime_ = 0;
-  /// Scratch for CollectInterferers (reused across completions).
-  std::vector<NodeId> collide_scratch_;
-  /// Squared distance beyond which a transmitter cannot corrupt any
-  /// reception of this sender's frame (twice the longest audible link).
-  double collide_range2_ = 0;
+  /// Recent transmissions and the per-completion collision verdicts.
+  CollisionKernel collisions_;
 
   TransmitHook transmit_hook_;
   DeliverHook deliver_hook_;
@@ -221,6 +192,7 @@ class Radio {
   uint64_t* ctr_deliveries_ = nullptr;
   uint64_t* ctr_drops_busy_ = nullptr;
   uint64_t* ctr_drops_noack_ = nullptr;
+  uint64_t* ctr_rx_collided_ = nullptr;
 };
 
 }  // namespace scoop::sim

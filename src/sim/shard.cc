@@ -169,11 +169,11 @@ ShardRadio::ShardRadio(const Topology* topology, const RadioOptions& options,
       mac_(static_cast<size_t>(topology->num_nodes())),
       alive_(static_cast<size_t>(topology->num_nodes()), true),
       active_tx_(topology->num_nodes()),
-      node_tx_(static_cast<size_t>(topology->num_nodes())) {
+      node_tx_(static_cast<size_t>(topology->num_nodes())),
+      collisions_(topology, options, Airtime(options.max_packet_bytes)) {
   SCOOP_CHECK(topology != nullptr);
   SCOOP_CHECK(queue != nullptr);
   SCOOP_CHECK(owner != nullptr);
-  max_airtime_ = Airtime(options_.max_packet_bytes);
   if (options_.interference_threshold == Topology::kInterferenceThreshold) {
     interferers_ = &topology->interferer_sets();
   } else {
@@ -187,18 +187,6 @@ ShardRadio::ShardRadio(const Topology* topology, const RadioOptions& options,
   for (NodeId u = 0; u < topology->num_nodes(); ++u) {
     mac_rng_.emplace_back(MixSeed(backoff_key, u), /*stream=*/u);
   }
-  // Geometric collision prefilter (see Radio's collide_range2_).
-  double max_d2 = 0;
-  for (NodeId i = 0; i < topology->num_nodes(); ++i) {
-    const Point& a = topology->position(i);
-    for (const Topology::Link& link : topology->audible_from(i)) {
-      const Point& b = topology->position(link.to);
-      double dx = a.x - b.x;
-      double dy = a.y - b.y;
-      max_d2 = std::max(max_d2, dx * dx + dy * dy);
-    }
-  }
-  collide_range2_ = 4.0 * max_d2;
 }
 
 void ShardRadio::EnableObservability(obs::TraceSink* trace,
@@ -213,6 +201,7 @@ void ShardRadio::EnableObservability(obs::TraceSink* trace,
     ctr_deliveries_ = metrics->Counter("radio.deliveries");
     ctr_drops_busy_ = metrics->Counter("radio.drops_channel_busy");
     ctr_drops_noack_ = metrics->Counter("radio.drops_no_ack");
+    ctr_rx_collided_ = metrics->Counter("radio.rx_collided");
     ctr_announce_rx_ = metrics->Counter("shard.announce_rx");
     ctr_abort_rx_ = metrics->Counter("shard.abort_rx");
     ctr_ack_rx_ = metrics->Counter("shard.ack_rx");
@@ -298,67 +287,11 @@ bool ShardRadio::ChannelBusy(NodeId node) const {
   });
 }
 
-void ShardRadio::CollectInterferers(NodeId sender, SimTime start, SimTime end) {
-  collide_scratch_.clear();
-  if (!options_.model_collisions) return;
-  // One ring walk per evaluation, shared by every receiver (see
-  // Radio::CollectInterferers): only transmissions actually overlapping
-  // the window survive into the per-receiver check.
-  const Point& s = topology_->position(sender);
-  for (size_t i = ring_.size(); i-- > ring_head_;) {
-    const Transmission& tx = ring_[i];
-    if (tx.start + max_airtime_ <= start) break;
-    if (tx.src == sender) continue;
-    if (tx.end <= start || tx.start >= end) continue;  // No time overlap.
-    const Point& p = topology_->position(tx.src);
-    double dx = s.x - p.x;
-    double dy = s.y - p.y;
-    if (dx * dx + dy * dy > collide_range2_) continue;  // Too far to matter.
-    collide_scratch_.push_back(tx.src);
-  }
-}
-
-bool ShardRadio::Collided(NodeId receiver, NodeId sender) const {
-  double signal = topology_->delivery_prob(sender, receiver);
-  const InterfererSet& audible = (*interferers_)[receiver];
-  for (NodeId isrc : collide_scratch_) {
-    if (isrc == receiver) continue;
-    if (!audible.Test(isrc)) continue;  // Too weak to interfere.
-    double interference = topology_->delivery_prob(isrc, receiver);
-    if (interference >= options_.capture_ratio * signal) return true;
-  }
-  return false;
-}
-
 bool ShardRadio::WasTransmitting(NodeId node, SimTime start, SimTime end) const {
   for (const TxSpan& t : node_tx_[node]) {
     if (t.start < end && t.end > start) return true;
   }
   return false;
-}
-
-void ShardRadio::InsertRing(Transmission tx) {
-  // Local transmissions start at now() (monotone), but a boundary
-  // announcement can carry a start behind the newest local entry; insert
-  // from the tail to keep the ring start-ordered for the collision walk.
-  size_t pos = ring_.size();
-  ring_.push_back(tx);
-  while (pos > ring_head_ && ring_[pos - 1].start > tx.start) {
-    ring_[pos] = ring_[pos - 1];
-    --pos;
-  }
-  ring_[pos] = tx;
-}
-
-void ShardRadio::PruneRing() {
-  SimTime horizon = queue_->now() - 4 * max_airtime_;
-  while (ring_head_ < ring_.size() && ring_[ring_head_].start + max_airtime_ < horizon) {
-    ++ring_head_;
-  }
-  if (ring_head_ >= 64 && ring_head_ * 2 >= ring_.size()) {
-    ring_.erase(ring_.begin(), ring_.begin() + static_cast<ptrdiff_t>(ring_head_));
-    ring_head_ = 0;
-  }
 }
 
 void ShardRadio::ScheduleCca(NodeId src, SimTime delay) {
@@ -458,7 +391,7 @@ void ShardRadio::StartTx(NodeId src) {
                  "type", static_cast<uint64_t>(frame.pkt.hdr.type), "seq",
                  static_cast<uint64_t>(frame.pkt.hdr.seq));
   }
-  InsertRing(Transmission{src, start, end});
+  collisions_.Insert(src, start, end);
   node_tx_[src][1] = node_tx_[src][0];
   node_tx_[src][0] = TxSpan{start, end};
   active_tx_.Set(src);
@@ -495,7 +428,7 @@ void ShardRadio::EvalRemote(NodeId src, uint32_t gen) {
   // node is still (or not yet) on the air.
   if (node_tx_[src][0].end <= queue_->now()) active_tx_.Clear(src);
   remote_tx_.erase(it);
-  PruneRing();
+  collisions_.Prune(queue_->now());
 }
 
 void ShardRadio::EvalTx(NodeId src, uint32_t gen, SimTime start, SimTime end,
@@ -509,8 +442,7 @@ void ShardRadio::EvalTx(NodeId src, uint32_t gen, SimTime start, SimTime end,
     // the verdicts stay identical under any K-way partition. Evaluated at
     // the transmission end (= delivery instant), matching Radio::FinishTx.
     bool faulted = fault_ != nullptr && fault_->active();
-    CollectInterferers(src, start, end);
-    const bool maybe_collided = !collide_scratch_.empty();
+    const bool maybe_collided = collisions_.Open(src, start, end);
     // Walk the sender's audible out-neighbors in ascending id, but only
     // deliver to receivers this shard owns; the other shards run the same
     // walk over their own nodes with identical keyed draws.
@@ -522,7 +454,10 @@ void ShardRadio::EvalTx(NodeId src, uint32_t gen, SimTime start, SimTime end,
       if (faulted) p *= fault_->Scale(src, r, end);
       if (!LinkLossDraw(src, gen, r, p)) continue;         // Link loss.
       if (WasTransmitting(r, start, end)) continue;        // Half duplex.
-      if (maybe_collided && Collided(r, src)) continue;    // Corrupted.
+      if (maybe_collided && collisions_.Corrupted(r, link.prob)) {
+        if (ctr_rx_collided_ != nullptr) ++*ctr_rx_collided_;
+        continue;
+      }
       bool addressed = (dst == kBroadcastId) || (dst == r);
       if (dst == r) dst_received = true;
       if (ctr_deliveries_ != nullptr) ++*ctr_deliveries_;
@@ -605,7 +540,7 @@ void ShardRadio::FinishCont(NodeId src, uint32_t gen) {
     }
   }
 
-  PruneRing();
+  collisions_.Prune(queue_->now());
   TryStart(src);
 }
 
@@ -623,7 +558,7 @@ void ShardRadio::HandleAnnounce(NodeId src, uint32_t gen, SimTime start, SimTime
   node_tx_[src][1] = node_tx_[src][0];
   node_tx_[src][0] = TxSpan{start, end};
   active_tx_.Set(src);
-  InsertRing(Transmission{src, start, end});
+  collisions_.Insert(src, start, end);
   uint64_t key = TxKey(src, gen);
   remote_tx_.emplace(key, RemoteTx{std::move(pkt), start, end});
   queue_->ScheduleEval(end, src, gen, [this, src, gen] { EvalRemote(src, gen); });

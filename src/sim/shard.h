@@ -53,6 +53,7 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
+#include "sim/collision.h"
 #include "sim/event_queue.h"
 #include "sim/radio.h"
 #include "sim/radio_options.h"
@@ -331,12 +332,6 @@ class ShardRadio {
     SimTime cca_at = 0;  ///< Scheduled sense time, for MacFloor cancellation.
   };
 
-  struct Transmission {
-    NodeId src = kInvalidNodeId;
-    SimTime start = 0;
-    SimTime end = 0;
-  };
-
   struct TxSpan {
     SimTime start = 0;
     SimTime end = 0;
@@ -384,15 +379,7 @@ class ShardRadio {
   /// invisible, so same-instant acquisitions never depend on cross-shard
   /// message timing (see file comment).
   bool ChannelBusy(NodeId node) const;
-  /// One ring walk per evaluation collecting the window's overlapping
-  /// transmitters; Collided then checks a receiver against that (usually
-  /// empty) list. Pure predicate split -- verdicts match the per-receiver
-  /// ring scan exactly (see Radio::CollectInterferers).
-  void CollectInterferers(NodeId sender, SimTime start, SimTime end);
-  bool Collided(NodeId receiver, NodeId sender) const;
   bool WasTransmitting(NodeId node, SimTime start, SimTime end) const;
-  void InsertRing(Transmission tx);
-  void PruneRing();
 
   const Topology* topology_;
   RadioOptions options_;
@@ -414,14 +401,9 @@ class ShardRadio {
   std::vector<InterfererSet> own_interferers_;
   DynamicNodeBitmap active_tx_;
   std::vector<std::array<TxSpan, 2>> node_tx_;
-  std::vector<Transmission> ring_;
-  size_t ring_head_ = 0;
-  SimTime max_airtime_ = 0;
-  /// Scratch for CollectInterferers (reused across evaluations).
-  std::vector<NodeId> collide_scratch_;
-  /// Squared distance beyond which a transmitter cannot corrupt any
-  /// reception of a sender's frame (see Radio's collide_range2_).
-  double collide_range2_ = 0;
+  /// Local and mirrored transmissions plus the collision verdicts -- the
+  /// same kernel as Radio's (sim/collision.h).
+  CollisionKernel collisions_;
 
   /// Per-target-shard armed carrier-sense times (min-heaps, indexed by
   /// target shard) and cancelled entries awaiting lazy annihilation
@@ -458,6 +440,7 @@ class ShardRadio {
   uint64_t* ctr_deliveries_ = nullptr;
   uint64_t* ctr_drops_busy_ = nullptr;
   uint64_t* ctr_drops_noack_ = nullptr;
+  uint64_t* ctr_rx_collided_ = nullptr;
   uint64_t* ctr_announce_rx_ = nullptr;
   uint64_t* ctr_abort_rx_ = nullptr;
   uint64_t* ctr_ack_rx_ = nullptr;

@@ -193,19 +193,6 @@ Topology::Topology(std::vector<Point> positions, SparseLinks links)
   }
   out_offsets_[n] = static_cast<uint32_t>(out_links_.size());
 
-  // Dense matrix for O(1) lookups, scattered from the CSR -- but only up
-  // to the cap: at 10k nodes the 800 MB zero-fill alone would eat the
-  // whole generation budget.
-  if (n <= static_cast<size_t>(kDenseDeliveryMaxNodes)) {
-    delivery_.assign(n * n, 0.0);
-    for (size_t from = 0; from < n; ++from) {
-      double* row = delivery_.data() + from * n;
-      for (const Link& link : audible_from(static_cast<NodeId>(from))) {
-        row[link.to] = link.prob;
-      }
-    }
-  }
-
   interferers_ = BuildInterfererSets(kInterferenceThreshold);
 }
 

@@ -17,10 +17,10 @@
 // p > 0 in ascending receiver order) and per-receiver interferer sets (the
 // senders loud enough to trigger carrier sense or corrupt a reception --
 // a sorted sparse list below the audible-density threshold, a bitmap
-// above it). A flat row-major delivery matrix backs O(1) delivery_prob()
-// lookups up to kDenseDeliveryMaxNodes; past that (10k-node benchmarks)
-// the matrix would dominate wall time and memory, so lookups fall back to
-// a binary search of the sender's CSR row.
+// above it). There is no dense N^2 matrix: memory is O(N + links), and
+// the radio's collision check reads whole CSR rows (sim/collision.h), so
+// the point lookup delivery_prob() -- a binary search of one CSR row --
+// is left to once-per-unicast ACK probabilities and set-up code.
 #ifndef SCOOP_SIM_TOPOLOGY_H_
 #define SCOOP_SIM_TOPOLOGY_H_
 
@@ -118,11 +118,6 @@ class Topology {
   /// a different threshold rebuilds its own sets via BuildInterfererSets.
   static constexpr double kInterferenceThreshold = 0.05;
 
-  /// The flat row-major delivery matrix is materialized only up to this
-  /// many nodes (33 MB at the cap); larger topologies answer
-  /// delivery_prob() from the CSR rows.
-  static constexpr int kDenseDeliveryMaxNodes = 2048;
-
   /// Generates nodes uniformly in a rectangle. Guarantees the audible-link
   /// graph is connected (re-rolls shadowing with growing range if needed).
   static Topology MakeRandom(const RandomTopologyOptions& options);
@@ -159,13 +154,9 @@ class Topology {
   /// The basestation id (always 0 by convention).
   NodeId base_id() const { return 0; }
 
-  /// Delivery probability of a packet sent by `from` arriving at `to`.
-  /// O(1) from the dense matrix up to kDenseDeliveryMaxNodes, else a
-  /// binary search of `from`'s CSR row.
+  /// Delivery probability of a packet sent by `from` arriving at `to`
+  /// (0 if inaudible): a binary search of `from`'s CSR row.
   double delivery_prob(NodeId from, NodeId to) const {
-    if (!delivery_.empty()) {
-      return delivery_[static_cast<size_t>(from) * positions_.size() + to];
-    }
     std::span<const Link> row = audible_from(from);
     auto it = std::lower_bound(row.begin(), row.end(), to,
                                [](const Link& l, NodeId t) { return l.to < t; });
@@ -228,9 +219,6 @@ class Topology {
   static double NeighborFractionAt(const SparseLinks& links, int n, double threshold);
 
   std::vector<Point> positions_;
-  /// Flat row-major delivery matrix, num_nodes^2 entries; empty above
-  /// kDenseDeliveryMaxNodes (delivery_prob then searches the CSR).
-  std::vector<double> delivery_;
   /// CSR audible-neighbor index: node i's out-links are
   /// out_links_[out_offsets_[i] .. out_offsets_[i+1]).
   std::vector<uint32_t> out_offsets_;

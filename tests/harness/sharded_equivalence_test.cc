@@ -4,6 +4,10 @@
 // failure waves, grid), plus the degenerate K > nodes split.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <map>
+#include <string>
+
 #include "common/check.h"
 #include "common/rng.h"
 #include "harness/experiment.h"
@@ -384,6 +388,51 @@ TEST(ShardedEquivalenceTest, CampaignCsvIsByteIdenticalAcrossPartitioners) {
   for (int k : {2, 4, 8}) {
     SCOPED_TRACE("shards=" + std::to_string(k));
     EXPECT_EQ(ref_csv, run_csv(k, sim::PartitionKind::kMincut));
+  }
+}
+
+/// Sum over shards of `counter` in each shard's last row of a metrics
+/// JSONL export (rows are time-ordered; every shard samples on the same
+/// sim-time grid).
+uint64_t FinalShardSum(const std::string& path, const std::string& counter) {
+  std::ifstream in(path);
+  SCOOP_CHECK(in.good());
+  std::map<int, uint64_t> last;
+  const std::string shard_key = "\"shard\":";
+  const std::string counter_key = "\"" + counter + "\":";
+  for (std::string line; std::getline(in, line);) {
+    size_t s = line.find(shard_key);
+    size_t c = line.find(counter_key);
+    SCOOP_CHECK(s != std::string::npos);
+    SCOOP_CHECK(c != std::string::npos);
+    last[std::stoi(line.substr(s + shard_key.size()))] =
+        std::stoull(line.substr(c + counter_key.size()));
+  }
+  uint64_t sum = 0;
+  for (const auto& [shard, value] : last) sum += value;
+  return sum;
+}
+
+TEST(ShardedEquivalenceTest, CollidedReceptionsMatchAcrossShardCounts) {
+  // radio.rx_collided counts receptions lost to collision. Each reception
+  // is judged once, on the receiver's owner shard, so the shard-summed
+  // count is a K-invariant -- and collisions must actually occur on the
+  // dense grid for the comparison to mean anything.
+  ExperimentConfig config = TinyConfig();
+  config.preset = TopologyPreset::kGrid;
+  config.num_nodes = 36;
+  auto collided_at = [&](int shards) {
+    ExperimentConfig c = config;
+    c.metrics_out = ::testing::TempDir() + "rx-collided-k" + std::to_string(shards) +
+                    ".jsonl";
+    RunShardedTrial(c, /*seed=*/13, shards);
+    return FinalShardSum(c.metrics_out, "radio.rx_collided");
+  };
+  uint64_t ref = collided_at(1);
+  EXPECT_GT(ref, 0u);
+  for (int k : {2, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(k));
+    EXPECT_EQ(collided_at(k), ref);
   }
 }
 

@@ -1,7 +1,9 @@
 // Property tests for the topology's neighborhood indexes: the CSR
-// audible-neighbor lists and per-receiver interferer bitmaps must agree
-// exactly with the flat delivery matrix for every generator -- they are
-// the structures the radio hot path trusts instead of walking the matrix.
+// audible-neighbor lists, the per-receiver interferer sets and the
+// delivery_prob() point lookup must describe the same all-pairs delivery
+// matrix for every generator (and, for FromMatrix, equal the input one).
+// The radio hot path trusts these structures; nothing stores the N^2
+// matrix itself.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -12,7 +14,7 @@
 namespace scoop::sim {
 namespace {
 
-/// Checks every index invariant against the delivery matrix ground truth.
+/// Checks every index invariant against the all-pairs delivery_prob() view.
 void ExpectIndexesMatchMatrix(const Topology& topo) {
   int n = topo.num_nodes();
   for (int from = 0; from < n; ++from) {
@@ -92,7 +94,13 @@ TEST(TopologyIndexTest, FromMatrixIndexesMatchMatrix) {
       m[i][j] = (roll < 0.6) ? 0.03 : roll - 0.25;    // Some below threshold.
     }
   }
-  ExpectIndexesMatchMatrix(Topology::FromMatrix(positions, m));
+  Topology topo = Topology::FromMatrix(positions, m);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      EXPECT_EQ(topo.delivery_prob(static_cast<NodeId>(i), static_cast<NodeId>(j)), m[i][j]);
+    }
+  }
+  ExpectIndexesMatchMatrix(topo);
 }
 
 TEST(TopologyIndexTest, GeneratorsScalePastTheWireFormatNodeCap) {
