@@ -34,7 +34,7 @@ class IndexedRadio {
                uint64_t seed)
       : radio_(topology, options, queue, seed) {
     radio_.set_transmit_hook([this](NodeId, const Packet&, bool) { ++transmissions_; });
-    radio_.set_deliver_hook([this](NodeId, const Packet&, bool) { ++deliveries_; });
+    radio_.set_deliver_hook([this](NodeId, const Packet&, bool, bool) { ++deliveries_; });
   }
 
   void set_send_done_hook(sim::Radio::SendDoneHook hook) {

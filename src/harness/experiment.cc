@@ -554,7 +554,7 @@ ExperimentResult RunTrial(const ExperimentConfig& config, uint64_t seed) {
         if (ctr != nullptr) *ctr += static_cast<uint64_t>(pkt.WireSize());
       });
   network.set_deliver_observer(
-      [&stats](NodeId dst, const Packet& pkt, bool addressed) {
+      [&stats](NodeId dst, const Packet& pkt, bool addressed, bool /*duplicate*/) {
         stats.OnDeliver(dst, pkt, addressed);
       });
   network.set_drop_observer(
@@ -729,9 +729,10 @@ ExperimentResult RunShardedTrial(const ExperimentConfig& config, uint64_t seed, 
       uint64_t* ctr = (*wire)[static_cast<size_t>(pkt.hdr.type)];
       if (ctr != nullptr) *ctr += static_cast<uint64_t>(pkt.WireSize());
     });
-    engine.set_deliver_observer(s, [ms](NodeId dst, const Packet& pkt, bool addressed) {
-      ms->OnDeliver(dst, pkt, addressed);
-    });
+    engine.set_deliver_observer(
+        s, [ms](NodeId dst, const Packet& pkt, bool addressed, bool /*duplicate*/) {
+          ms->OnDeliver(dst, pkt, addressed);
+        });
     engine.set_drop_observer(s, [ms](NodeId src, const Packet& pkt, sim::DropReason) {
       ms->OnDrop(src, pkt);
     });

@@ -11,33 +11,24 @@ namespace scoop::net {
 NeighborTable::NeighborTable(const NeighborTableOptions& options) : options_(options) {
   SCOOP_CHECK_GT(options_.capacity, 0);
   SCOOP_CHECK_GT(options_.estimation_window, 0);
-  // Bounded table: one up-front allocation covers its whole lifetime.
+  // Bounded table: one up-front allocation per array covers its lifetime.
+  ids_.reserve(static_cast<size_t>(options_.capacity));
   entries_.reserve(static_cast<size_t>(options_.capacity));
 }
 
-std::vector<NeighborTable::Slot>::iterator NeighborTable::Find(NodeId id) {
-  auto it = std::lower_bound(entries_.begin(), entries_.end(), id,
-                             [](const Slot& slot, NodeId key) { return slot.id < key; });
-  if (it != entries_.end() && it->id == id) return it;
-  return entries_.end();
-}
-
-std::vector<NeighborTable::Slot>::const_iterator NeighborTable::Find(NodeId id) const {
-  auto it = std::lower_bound(entries_.begin(), entries_.end(), id,
-                             [](const Slot& slot, NodeId key) { return slot.id < key; });
-  if (it != entries_.end() && it->id == id) return it;
-  return entries_.end();
+size_t NeighborTable::Find(NodeId id) const {
+  auto it = std::lower_bound(ids_.begin(), ids_.end(), id);
+  if (it != ids_.end() && *it == id) return static_cast<size_t>(it - ids_.begin());
+  return kAbsent;
 }
 
 void NeighborTable::OnPacketSeen(NodeId src, uint16_t seq, SimTime now) {
-  auto it = std::lower_bound(entries_.begin(), entries_.end(), src,
-                             [](const Slot& slot, NodeId key) { return slot.id < key; });
-  if (it == entries_.end() || it->id != src) {
-    if (static_cast<int>(entries_.size()) >= options_.capacity) {
+  auto it = std::lower_bound(ids_.begin(), ids_.end(), src);
+  if (it == ids_.end() || *it != src) {
+    if (static_cast<int>(ids_.size()) >= options_.capacity) {
       EvictWorst();
       // Eviction shifted slots; recompute the insertion point.
-      it = std::lower_bound(entries_.begin(), entries_.end(), src,
-                            [](const Slot& slot, NodeId key) { return slot.id < key; });
+      it = std::lower_bound(ids_.begin(), ids_.end(), src);
     }
     Entry entry;
     entry.last_seq = seq;
@@ -45,11 +36,12 @@ void NeighborTable::OnPacketSeen(NodeId src, uint16_t seq, SimTime now) {
     entry.quality = options_.initial_quality;
     entry.has_estimate = false;
     entry.last_heard = now;
-    entries_.insert(it, Slot{src, entry});
+    entries_.insert(entries_.begin() + (it - ids_.begin()), entry);
+    ids_.insert(it, src);
     return;
   }
 
-  Entry& entry = it->entry;
+  Entry& entry = entries_[static_cast<size_t>(it - ids_.begin())];
   entry.last_heard = now;
   uint16_t gap = static_cast<uint16_t>(seq - entry.last_seq);
   if (gap == 0) return;  // Link-layer retransmission; not a new packet.
@@ -76,9 +68,9 @@ void NeighborTable::OnPacketSeen(NodeId src, uint16_t seq, SimTime now) {
 }
 
 void NeighborTable::OnReverseReport(NodeId neighbor, double quality_they_hear_us) {
-  auto it = Find(neighbor);
-  if (it == entries_.end()) return;  // Only track reports from known neighbors.
-  Entry& entry = it->entry;
+  size_t i = Find(neighbor);
+  if (i == kAbsent) return;  // Only track reports from known neighbors.
+  Entry& entry = entries_[i];
   if (entry.has_reverse) {
     entry.reverse_quality = options_.ewma_alpha * quality_they_hear_us +
                             (1 - options_.ewma_alpha) * entry.reverse_quality;
@@ -89,20 +81,21 @@ void NeighborTable::OnReverseReport(NodeId neighbor, double quality_they_hear_us
 }
 
 double NeighborTable::Quality(NodeId src) const {
-  auto it = Find(src);
-  return it == entries_.end() ? 0.0 : it->entry.quality;
+  size_t i = Find(src);
+  return i == kAbsent ? 0.0 : entries_[i].quality;
 }
 
 double NeighborTable::OutboundQuality(NodeId dst) const {
-  auto it = Find(dst);
-  if (it == entries_.end()) return 0.0;
-  return it->entry.has_reverse ? it->entry.reverse_quality : it->entry.quality;
+  size_t i = Find(dst);
+  if (i == kAbsent) return 0.0;
+  const Entry& e = entries_[i];
+  return e.has_reverse ? e.reverse_quality : e.quality;
 }
 
 double NeighborTable::UnicastQuality(NodeId dst) const {
-  auto it = Find(dst);
-  if (it == entries_.end()) return 0.0;
-  const Entry& e = it->entry;
+  size_t i = Find(dst);
+  if (i == kAbsent) return 0.0;
+  const Entry& e = entries_[i];
   double out = e.has_reverse ? e.reverse_quality : e.quality;
   // The ACK returns on the inbound link; ACK frames are short, so their
   // loss is sub-linear in the link's packet loss.
@@ -111,10 +104,8 @@ double NeighborTable::UnicastQuality(NodeId dst) const {
 
 std::vector<NeighborEntry> NeighborTable::BestNeighbors(int k) const {
   std::vector<std::pair<double, NodeId>> ranked;
-  ranked.reserve(entries_.size());
-  for (const Slot& slot : entries_) {
-    ranked.emplace_back(slot.entry.quality, slot.id);
-  }
+  ranked.reserve(ids_.size());
+  for (size_t i = 0; i < ids_.size(); ++i) ranked.emplace_back(entries_[i].quality, ids_[i]);
   // Sort by quality descending; break ties by id for determinism.
   std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
     if (a.first != b.first) return a.first > b.first;
@@ -132,36 +123,36 @@ std::vector<NeighborEntry> NeighborTable::BestNeighbors(int k) const {
   return out;
 }
 
-std::vector<NodeId> NeighborTable::Ids() const {
-  std::vector<NodeId> out;
-  out.reserve(entries_.size());
-  for (const Slot& slot : entries_) out.push_back(slot.id);
-  return out;
-}
-
 void NeighborTable::EvictStale(SimTime now) {
-  auto keep = entries_.begin();
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (now - it->entry.last_heard <= options_.eviction_timeout) {
-      if (keep != it) *keep = *it;
+  size_t keep = 0;
+  for (size_t i = 0; i < ids_.size(); ++i) {
+    if (now - entries_[i].last_heard <= options_.eviction_timeout) {
+      if (keep != i) {
+        ids_[keep] = ids_[i];
+        entries_[keep] = entries_[i];
+      }
       ++keep;
     }
   }
-  entries_.erase(keep, entries_.end());
+  ids_.resize(keep);
+  entries_.resize(keep);
 }
 
 void NeighborTable::EvictWorst() {
-  auto worst = entries_.end();
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+  if (ids_.empty()) return;
+  size_t worst = 0;
+  for (size_t i = 1; i < ids_.size(); ++i) {
     // Ascending-id iteration plus strictly-less comparisons: ties on both
     // staleness and quality evict the lowest id, deterministically.
-    if (worst == entries_.end() || it->entry.last_heard < worst->entry.last_heard ||
-        (it->entry.last_heard == worst->entry.last_heard &&
-         it->entry.quality < worst->entry.quality)) {
-      worst = it;
+    const Entry& e = entries_[i];
+    const Entry& w = entries_[worst];
+    if (e.last_heard < w.last_heard ||
+        (e.last_heard == w.last_heard && e.quality < w.quality)) {
+      worst = i;
     }
   }
-  if (worst != entries_.end()) entries_.erase(worst);
+  ids_.erase(ids_.begin() + static_cast<std::ptrdiff_t>(worst));
+  entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(worst));
 }
 
 }  // namespace scoop::net

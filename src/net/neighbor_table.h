@@ -57,53 +57,51 @@ class NeighborTable {
   double UnicastQuality(NodeId dst) const;
 
   /// True iff `src` is currently tracked.
-  bool Contains(NodeId src) const { return Find(src) != entries_.end(); }
+  bool Contains(NodeId src) const { return Find(src) != kAbsent; }
 
   /// The `k` best neighbors by quality, as summary-ready entries (§5.2).
   std::vector<NeighborEntry> BestNeighbors(int k) const;
 
-  /// All tracked neighbor ids (unordered).
-  std::vector<NodeId> Ids() const;
+  /// All tracked neighbor ids, ascending.
+  std::vector<NodeId> Ids() const { return ids_; }
 
   /// Drops entries not heard from within the eviction timeout.
   void EvictStale(SimTime now);
 
   /// Number of tracked neighbors.
-  size_t size() const { return entries_.size(); }
+  size_t size() const { return ids_.size(); }
 
  private:
   struct Entry {
     uint16_t last_seq = 0;
+    bool has_estimate = false;
+    bool has_reverse = false;
     int window_received = 0;
     int window_missed = 0;
     double quality = 0;
-    bool has_estimate = false;
     double reverse_quality = 0;
-    bool has_reverse = false;
     SimTime last_heard = 0;
   };
 
-  /// One tracked neighbor, keyed by its node id.
-  struct Slot {
-    NodeId id;
-    Entry entry;
-  };
+  static constexpr size_t kAbsent = static_cast<size_t>(-1);
 
-  /// Iterator to the slot for `id`, or end() if absent.
-  std::vector<Slot>::iterator Find(NodeId id);
-  std::vector<Slot>::const_iterator Find(NodeId id) const;
+  /// Position of `id` in ids_/entries_, or kAbsent.
+  size_t Find(NodeId id) const;
 
   /// Evicts the worst entry to make room, preferring stale + low quality.
   void EvictWorst();
 
   NeighborTableOptions options_;
   // The table is bounded at `capacity` (32 in the paper) and looked up on
-  // every packet a node hears, so a flat vector sorted by id beats a hash
-  // map: the find is a binary search over one or two cache lines, inserts
-  // never allocate past the reserved capacity, and iteration is a
-  // canonical ascending-id order, which makes eviction tie-breaks and
-  // Ids() deterministic by construction rather than by bucket layout.
-  std::vector<Slot> entries_;
+  // every packet a node hears, so it is two flat parallel vectors sorted by
+  // id instead of a hash map. The ids sit in their own array -- 64 bytes,
+  // one cache line, at capacity 32 -- so a lookup binary-searches that
+  // line and then reads the one matched entry. Inserts never allocate past
+  // the reserved capacity, and iteration is a canonical ascending-id order,
+  // which makes eviction tie-breaks and Ids() deterministic by
+  // construction rather than by bucket layout.
+  std::vector<NodeId> ids_;
+  std::vector<Entry> entries_;  ///< entries_[i] belongs to ids_[i].
 };
 
 }  // namespace scoop::net

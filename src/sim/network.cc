@@ -1,23 +1,17 @@
 #include "sim/network.h"
 
-#include <unordered_map>
 #include <utility>
 
 #include "common/check.h"
 
 namespace scoop::sim {
 
-/// Per-node container: implements Context for the hosted app and performs
-/// (link_src, seq) duplicate detection on delivery.
+/// Per-node container: implements Context for the hosted app and hands it
+/// the radio's deliveries (duplicate-flagged by the radio's filter).
 class Network::Host : public Context {
  public:
   Host(Network* network, NodeId id, uint64_t seed)
-      : network_(network), id_(id), rng_(MixSeed(seed, id), /*stream=*/id) {
-    int n = network->topology_.num_nodes();
-    if (n <= kFlatSeqMaxNodes) {
-      last_seq_flat_.assign(static_cast<size_t>(n), -1);
-    }
-  }
+      : network_(network), id_(id), rng_(MixSeed(seed, id), /*stream=*/id) {}
 
   void set_app(std::unique_ptr<App> app) { app_ = std::move(app); }
   App* app() { return app_.get(); }
@@ -47,12 +41,12 @@ class Network::Host : public Context {
   const RadioOptions& radio_options() const override { return network_->options_.radio; }
 
   // --- Delivery path (called by Network) ---
-  void Deliver(const Packet& pkt, bool addressed) {
+  void Deliver(const Packet& pkt, bool addressed, bool duplicate) {
     if (app_ == nullptr) return;
     if (addressed) {
       ReceiveInfo info;
       info.addressed_to_me = true;
-      info.duplicate = IsDuplicate(pkt);
+      info.duplicate = duplicate;
       app_->OnReceive(*this, pkt, info);
     } else {
       app_->OnSnoop(*this, pkt);
@@ -68,37 +62,10 @@ class Network::Host : public Context {
   }
 
  private:
-  /// Up to this many nodes, per-sender slots are a flat array indexed by
-  /// NodeId: one array load per received packet instead of a hash probe.
-  /// The flat form is 4*N bytes per host -- O(N^2) across the network --
-  /// so past this bound (where 4*N^2 would outgrow every other structure)
-  /// hosts fall back to a map that grows only with senders actually heard.
-  static constexpr int kFlatSeqMaxNodes = 4096;
-
-  /// Link-layer duplicate: same sequence number as the previous packet from
-  /// this link sender (an ACK was lost and the frame was retransmitted).
-  /// -1 = nothing heard yet (distinct from every 16-bit sequence number,
-  /// including a wrapped seq of 0).
-  bool IsDuplicate(const Packet& pkt) {
-    if (!last_seq_flat_.empty()) {
-      int32_t& slot = last_seq_flat_[pkt.hdr.link_src];
-      bool dup = (slot == pkt.hdr.seq);
-      slot = pkt.hdr.seq;
-      return dup;
-    }
-    auto [it, inserted] = last_seq_map_.try_emplace(pkt.hdr.link_src, pkt.hdr.seq);
-    if (inserted) return false;
-    bool dup = (it->second == pkt.hdr.seq);
-    it->second = pkt.hdr.seq;
-    return dup;
-  }
-
   Network* network_;
   NodeId id_;
   Rng rng_;
   std::unique_ptr<App> app_;
-  std::vector<int32_t> last_seq_flat_;  ///< Non-empty iff n <= kFlatSeqMaxNodes.
-  std::unordered_map<NodeId, uint16_t> last_seq_map_;
 };
 
 Network::Network(Topology topology, NetworkOptions options)
@@ -109,10 +76,11 @@ Network::Network(Topology topology, NetworkOptions options)
   for (int i = 0; i < n; ++i) {
     hosts_.push_back(std::make_unique<Host>(this, static_cast<NodeId>(i), options_.seed));
   }
-  radio_->set_deliver_hook([this](NodeId receiver, const Packet& pkt, bool addressed) {
-    if (deliver_observer_) deliver_observer_(receiver, pkt, addressed);
-    hosts_[receiver]->Deliver(pkt, addressed);
-  });
+  radio_->set_deliver_hook(
+      [this](NodeId receiver, const Packet& pkt, bool addressed, bool duplicate) {
+        if (deliver_observer_) deliver_observer_(receiver, pkt, addressed, duplicate);
+        hosts_[receiver]->Deliver(pkt, addressed, duplicate);
+      });
   radio_->set_send_done_hook([this](NodeId src, const Packet& pkt, bool success) {
     hosts_[src]->SendDone(pkt, success);
   });

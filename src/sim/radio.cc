@@ -17,7 +17,8 @@ Radio::Radio(const Topology* topology, const RadioOptions& options, EventQueue* 
       alive_(static_cast<size_t>(topology->num_nodes()), true),
       active_tx_(topology->num_nodes()),
       node_tx_(static_cast<size_t>(topology->num_nodes())),
-      collisions_(topology, options, Airtime(options.max_packet_bytes)) {
+      collisions_(topology, options, Airtime(options.max_packet_bytes)),
+      duplicates_(*topology) {
   SCOOP_CHECK(topology != nullptr);
   SCOOP_CHECK(queue != nullptr);
   // The topology precomputes interferer sets at its default threshold; a
@@ -44,6 +45,7 @@ void Radio::EnableObservability(obs::TraceSink* trace,
     ctr_drops_busy_ = metrics->Counter("radio.drops_channel_busy");
     ctr_drops_noack_ = metrics->Counter("radio.drops_no_ack");
     ctr_rx_collided_ = metrics->Counter("radio.rx_collided");
+    ctr_rx_duplicate_ = metrics->Counter("radio.rx_duplicate");
   }
 }
 
@@ -234,14 +236,17 @@ void Radio::FinishTx(NodeId src, SimTime start, SimTime end, uint32_t gen) {
 
   // Only the sender's audible out-neighbors can receive; the CSR list
   // visits them in ascending id, the order the Bernoulli draws are pinned
-  // to.
+  // to. Link i of the row owns duplicate slot first_link + i.
   // Fault windows scale link probabilities; the draw below still happens
   // for every audible link (even at probability 0), so an inactive channel
   // consumes the shared RNG stream exactly as a fault-free build does.
   // Windows are evaluated at the transmission end (= delivery instant).
   bool faulted = fault_ != nullptr && fault_->active();
   const bool maybe_collided = collisions_.Open(src, start, end);
-  for (const Topology::Link& link : topology_->audible_from(src)) {
+  const size_t first_link = topology_->link_index(src);
+  std::span<const Topology::Link> row = topology_->audible_from(src);
+  for (size_t i = 0; i < row.size(); ++i) {
+    const Topology::Link& link = row[i];
     NodeId r = link.to;
     if (!alive_[r]) continue;  // Dead radios hear nothing.
     double p = link.prob;
@@ -254,7 +259,9 @@ void Radio::FinishTx(NodeId src, SimTime start, SimTime end, uint32_t gen) {
     }
     bool addressed = (dst == kBroadcastId) || (dst == r);
     if (dst == r) dst_received = true;
+    bool duplicate = addressed && duplicates_.Observe(first_link + i, pkt.hdr.seq);
     if (ctr_deliveries_ != nullptr) ++*ctr_deliveries_;
+    if (duplicate && ctr_rx_duplicate_ != nullptr) ++*ctr_rx_duplicate_;
     // Trace addressed receptions only; snoops are counted, not traced,
     // to bound trace volume in dense neighborhoods.
     if (trace_ != nullptr && addressed) {
@@ -262,7 +269,7 @@ void Radio::FinishTx(NodeId src, SimTime start, SimTime end, uint32_t gen) {
                       static_cast<uint64_t>(src), "type",
                       static_cast<uint64_t>(pkt.hdr.type));
     }
-    if (deliver_hook_) deliver_hook_(r, pkt, addressed);
+    if (deliver_hook_) deliver_hook_(r, pkt, addressed, duplicate);
   }
 
   if (dst == kBroadcastId) {

@@ -12,7 +12,10 @@
 // go through the CollisionKernel (sim/collision.h), which scatters the
 // CSR rows of the overlapping transmitters into per-receiver slots once
 // per completion. One broadcast costs O(degree + the overlapping
-// transmitters' degrees).
+// transmitters' degrees). Link-layer duplicates are flagged by the
+// DuplicateFilter (sim/duplicate_filter.h), one slot per audible link
+// walked alongside the sender's CSR row, and the flag rides with the
+// delivery: hosts keep no per-sender state.
 #ifndef SCOOP_SIM_RADIO_H_
 #define SCOOP_SIM_RADIO_H_
 
@@ -28,6 +31,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/collision.h"
+#include "sim/duplicate_filter.h"
 #include "sim/event_queue.h"
 #include "sim/radio_options.h"
 #include "sim/topology.h"
@@ -48,8 +52,12 @@ class Radio {
   /// boxing them would put an allocation on the radio hot path.
   /// Observer invoked at each transmission start (the paper's cost unit).
   using TransmitHook = SmallFunction<void(NodeId src, const Packet&, bool retransmission)>;
-  /// Observer for successful packet arrival at a node.
-  using DeliverHook = SmallFunction<void(NodeId receiver, const Packet&, bool addressed)>;
+  /// Observer for successful packet arrival at a node. `duplicate` is the
+  /// link-layer duplicate flag of an addressed reception (same (link_src,
+  /// seq) as the link's previous one: a retransmission whose ACK was lost);
+  /// always false for overheard frames.
+  using DeliverHook =
+      SmallFunction<void(NodeId receiver, const Packet&, bool addressed, bool duplicate)>;
   /// Observer for frames abandoned by the MAC.
   using DropHook = SmallFunction<void(NodeId src, const Packet&, DropReason)>;
   /// Completion callback toward the sending node's app.
@@ -177,6 +185,8 @@ class Radio {
   std::vector<std::array<TxSpan, 2>> node_tx_;
   /// Recent transmissions and the per-completion collision verdicts.
   CollisionKernel collisions_;
+  /// (link_src, seq) of each link's last addressed reception.
+  DuplicateFilter duplicates_;
 
   TransmitHook transmit_hook_;
   DeliverHook deliver_hook_;
@@ -193,6 +203,7 @@ class Radio {
   uint64_t* ctr_drops_busy_ = nullptr;
   uint64_t* ctr_drops_noack_ = nullptr;
   uint64_t* ctr_rx_collided_ = nullptr;
+  uint64_t* ctr_rx_duplicate_ = nullptr;
 };
 
 }  // namespace scoop::sim

@@ -158,7 +158,8 @@ bool ShardQueue::RunOne() {
 
 ShardRadio::ShardRadio(const Topology* topology, const RadioOptions& options,
                        ShardQueue* queue, uint64_t seed,
-                       const std::vector<int>* owner, int self_shard)
+                       const std::vector<int>* owner, int self_shard,
+                       DuplicateFilter* duplicates)
     : topology_(topology),
       options_(options),
       queue_(queue),
@@ -170,10 +171,12 @@ ShardRadio::ShardRadio(const Topology* topology, const RadioOptions& options,
       alive_(static_cast<size_t>(topology->num_nodes()), true),
       active_tx_(topology->num_nodes()),
       node_tx_(static_cast<size_t>(topology->num_nodes())),
-      collisions_(topology, options, Airtime(options.max_packet_bytes)) {
+      collisions_(topology, options, Airtime(options.max_packet_bytes)),
+      duplicates_(duplicates) {
   SCOOP_CHECK(topology != nullptr);
   SCOOP_CHECK(queue != nullptr);
   SCOOP_CHECK(owner != nullptr);
+  SCOOP_CHECK(duplicates != nullptr);
   if (options_.interference_threshold == Topology::kInterferenceThreshold) {
     interferers_ = &topology->interferer_sets();
   } else {
@@ -202,6 +205,7 @@ void ShardRadio::EnableObservability(obs::TraceSink* trace,
     ctr_drops_busy_ = metrics->Counter("radio.drops_channel_busy");
     ctr_drops_noack_ = metrics->Counter("radio.drops_no_ack");
     ctr_rx_collided_ = metrics->Counter("radio.rx_collided");
+    ctr_rx_duplicate_ = metrics->Counter("radio.rx_duplicate");
     ctr_announce_rx_ = metrics->Counter("shard.announce_rx");
     ctr_abort_rx_ = metrics->Counter("shard.abort_rx");
     ctr_ack_rx_ = metrics->Counter("shard.ack_rx");
@@ -445,8 +449,12 @@ void ShardRadio::EvalTx(NodeId src, uint32_t gen, SimTime start, SimTime end,
     const bool maybe_collided = collisions_.Open(src, start, end);
     // Walk the sender's audible out-neighbors in ascending id, but only
     // deliver to receivers this shard owns; the other shards run the same
-    // walk over their own nodes with identical keyed draws.
-    for (const Topology::Link& link : topology_->audible_from(src)) {
+    // walk over their own nodes with identical keyed draws. Link i of the
+    // row owns duplicate slot first_link + i.
+    const size_t first_link = topology_->link_index(src);
+    std::span<const Topology::Link> row = topology_->audible_from(src);
+    for (size_t i = 0; i < row.size(); ++i) {
+      const Topology::Link& link = row[i];
       NodeId r = link.to;
       if (!Owned(r)) continue;
       if (!alive_[r]) continue;                            // Dead radios hear nothing.
@@ -460,14 +468,16 @@ void ShardRadio::EvalTx(NodeId src, uint32_t gen, SimTime start, SimTime end,
       }
       bool addressed = (dst == kBroadcastId) || (dst == r);
       if (dst == r) dst_received = true;
+      bool duplicate = addressed && duplicates_->Observe(first_link + i, pkt.hdr.seq);
       if (ctr_deliveries_ != nullptr) ++*ctr_deliveries_;
+      if (duplicate && ctr_rx_duplicate_ != nullptr) ++*ctr_rx_duplicate_;
       // Trace addressed receptions only; snoops are counted, not traced.
       if (trace_ != nullptr && addressed) {
         trace_->Instant(end, "deliver", obs::TraceCat::kPacket, r, "src",
                         static_cast<uint64_t>(src), "type",
                         static_cast<uint64_t>(pkt.hdr.type));
       }
-      if (deliver_hook_) deliver_hook_(r, pkt, addressed);
+      if (deliver_hook_) deliver_hook_(r, pkt, addressed, duplicate);
     }
     // The destination's shard resolves the ACK verdict (it alone knows the
     // receiver's state) and reports it to the sender's completion.

@@ -32,7 +32,12 @@
 // floor: a frame heard about "now" cannot hit the air sooner), and all
 // random draws (backoff, per-link loss, ACK) are keyed on stable
 // identities (node, transmission generation, receiver) instead of pulled
-// from one shared stream whose consumption order would depend on K.
+// from one shared stream whose consumption order would depend on K. Its
+// reception side is shared with Radio: the same CollisionKernel
+// (sim/collision.h) judges collisions, and the same DuplicateFilter
+// (sim/duplicate_filter.h) flags link-layer retransmissions -- one filter
+// for the whole engine, each slot written only by the shard that owns the
+// link's receiver, so the flag is K-invariant by construction.
 #ifndef SCOOP_SIM_SHARD_H_
 #define SCOOP_SIM_SHARD_H_
 
@@ -54,6 +59,7 @@
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "sim/collision.h"
+#include "sim/duplicate_filter.h"
 #include "sim/event_queue.h"
 #include "sim/radio.h"
 #include "sim/radio_options.h"
@@ -240,9 +246,12 @@ class ShardRadio {
 
   /// `owner` maps every node to its shard index; `self_shard` is this
   /// radio's shard. Only nodes with owner == self_shard transmit here;
-  /// other nodes exist as mirrored channel state.
+  /// other nodes exist as mirrored channel state. `duplicates` is the
+  /// engine-wide duplicate filter; this radio touches only the slots of
+  /// links into its own nodes.
   ShardRadio(const Topology* topology, const RadioOptions& options, ShardQueue* queue,
-             uint64_t seed, const std::vector<int>* owner, int self_shard);
+             uint64_t seed, const std::vector<int>* owner, int self_shard,
+             DuplicateFilter* duplicates);
 
   ShardRadio(const ShardRadio&) = delete;
   ShardRadio& operator=(const ShardRadio&) = delete;
@@ -404,6 +413,9 @@ class ShardRadio {
   /// Local and mirrored transmissions plus the collision verdicts -- the
   /// same kernel as Radio's (sim/collision.h).
   CollisionKernel collisions_;
+  /// Link-layer duplicate flags -- the same filter as Radio's
+  /// (sim/duplicate_filter.h), shared with the other shards.
+  DuplicateFilter* duplicates_;
 
   /// Per-target-shard armed carrier-sense times (min-heaps, indexed by
   /// target shard) and cancelled entries awaiting lazy annihilation
@@ -441,6 +453,7 @@ class ShardRadio {
   uint64_t* ctr_drops_busy_ = nullptr;
   uint64_t* ctr_drops_noack_ = nullptr;
   uint64_t* ctr_rx_collided_ = nullptr;
+  uint64_t* ctr_rx_duplicate_ = nullptr;
   uint64_t* ctr_announce_rx_ = nullptr;
   uint64_t* ctr_abort_rx_ = nullptr;
   uint64_t* ctr_ack_rx_ = nullptr;

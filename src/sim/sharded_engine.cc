@@ -5,7 +5,6 @@
 #include <chrono>
 #include <numeric>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "common/check.h"
@@ -13,18 +12,13 @@
 namespace scoop::sim {
 
 /// Per-node container on its owner shard: implements Context for the
-/// hosted app and performs (link_src, seq) duplicate detection on
-/// delivery. Byte-for-byte the same behavior as Network::Host, but wired
-/// to the owner shard's queue and radio.
+/// hosted app and hands it the shard radio's deliveries (duplicate-flagged
+/// by the shared filter). Byte-for-byte the same behavior as
+/// Network::Host, but wired to the owner shard's queue and radio.
 class ShardedEngine::Host : public Context {
  public:
   Host(ShardedEngine* engine, Shard* shard, NodeId id, uint64_t seed)
-      : engine_(engine), shard_(shard), id_(id), rng_(MixSeed(seed, id), /*stream=*/id) {
-    int n = engine->topology_.num_nodes();
-    if (n <= kFlatSeqMaxNodes) {
-      last_seq_flat_.assign(static_cast<size_t>(n), -1);
-    }
-  }
+      : engine_(engine), shard_(shard), id_(id), rng_(MixSeed(seed, id), /*stream=*/id) {}
 
   void set_app(std::unique_ptr<App> app) { app_ = std::move(app); }
   App* app() { return app_.get(); }
@@ -40,12 +34,12 @@ class ShardedEngine::Host : public Context {
   const RadioOptions& radio_options() const override { return engine_->options_.radio; }
 
   // --- Delivery path (called by the shard's radio hooks) ---
-  void Deliver(const Packet& pkt, bool addressed) {
+  void Deliver(const Packet& pkt, bool addressed, bool duplicate) {
     if (app_ == nullptr) return;
     if (addressed) {
       ReceiveInfo info;
       info.addressed_to_me = true;
-      info.duplicate = IsDuplicate(pkt);
+      info.duplicate = duplicate;
       app_->OnReceive(*this, pkt, info);
     } else {
       app_->OnSnoop(*this, pkt);
@@ -73,29 +67,11 @@ class ShardedEngine::Host : public Context {
   }
 
  private:
-  static constexpr int kFlatSeqMaxNodes = 4096;
-
-  bool IsDuplicate(const Packet& pkt) {
-    if (!last_seq_flat_.empty()) {
-      int32_t& slot = last_seq_flat_[pkt.hdr.link_src];
-      bool dup = (slot == pkt.hdr.seq);
-      slot = pkt.hdr.seq;
-      return dup;
-    }
-    auto [it, inserted] = last_seq_map_.try_emplace(pkt.hdr.link_src, pkt.hdr.seq);
-    if (inserted) return false;
-    bool dup = (it->second == pkt.hdr.seq);
-    it->second = pkt.hdr.seq;
-    return dup;
-  }
-
   ShardedEngine* engine_;
   Shard* shard_;
   NodeId id_;
   Rng rng_;
   std::unique_ptr<App> app_;
-  std::vector<int32_t> last_seq_flat_;
-  std::unordered_map<NodeId, uint16_t> last_seq_map_;
 };
 
 /// One shard: a deterministic queue, the radio for its nodes, and the
@@ -168,7 +144,7 @@ EventId ShardedEngine::Host::Schedule(SimTime delay, SmallCallback fn) {
 void ShardedEngine::Host::Cancel(EventId id) { shard_->queue.Cancel(id); }
 
 ShardedEngine::ShardedEngine(Topology topology, ShardedEngineOptions options)
-    : topology_(std::move(topology)), options_(options) {
+    : topology_(std::move(topology)), options_(options), duplicates_(topology_) {
   SCOOP_CHECK_GE(options_.shards, 1);
   SCOOP_CHECK_LE(options_.shards, 64);  // Shard sets travel as uint64_t masks.
   num_shards_ = options_.shards;
@@ -219,7 +195,7 @@ ShardedEngine::ShardedEngine(Topology topology, ShardedEngineOptions options)
     // ACK verdicts flow opposite to announces, so drain both directions.
     sh->drain_mask = in_mask[s] | out_mask[s];
     sh->radio = std::make_unique<ShardRadio>(&topology_, options_.radio, &sh->queue,
-                                             options_.seed, &owner_, s);
+                                             options_.seed, &owner_, s, &duplicates_);
     sh->radio->SetAnnounceTargets(&announce_mask_, num_shards_);
     sh->hosts.resize(static_cast<size_t>(n));
     for (NodeId id = 0; id < n; ++id) {
@@ -227,10 +203,11 @@ ShardedEngine::ShardedEngine(Topology topology, ShardedEngineOptions options)
         sh->hosts[id] = std::make_unique<Host>(this, sh, id, options_.seed);
       }
     }
-    sh->radio->set_deliver_hook([sh](NodeId receiver, const Packet& pkt, bool addressed) {
-      if (sh->deliver_observer) sh->deliver_observer(receiver, pkt, addressed);
-      sh->hosts[receiver]->Deliver(pkt, addressed);
-    });
+    sh->radio->set_deliver_hook(
+        [sh](NodeId receiver, const Packet& pkt, bool addressed, bool duplicate) {
+          if (sh->deliver_observer) sh->deliver_observer(receiver, pkt, addressed, duplicate);
+          sh->hosts[receiver]->Deliver(pkt, addressed, duplicate);
+        });
     sh->radio->set_send_done_hook([sh](NodeId src, const Packet& pkt, bool success) {
       sh->hosts[src]->SendDone(pkt, success);
     });

@@ -225,6 +225,9 @@ class ShardedEngine {
   /// Per-node bitmask of shards (other than the owner) that must mirror
   /// the node's transmissions: every shard owning an audible out-neighbor.
   std::vector<uint64_t> announce_mask_;
+  /// Link-layer duplicate state shared by every shard's radio: each slot
+  /// is written only by the shard owning its link's receiver.
+  DuplicateFilter duplicates_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<Mailbox[]> mail_;  ///< K*K boxes; std::mutex is immovable.
   /// Published promises, one per directed shard pair: cell [from*K + to]

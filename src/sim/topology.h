@@ -171,6 +171,14 @@ class Topology {
             out_links_.data() + out_offsets_[static_cast<size_t>(from) + 1]};
   }
 
+  /// Position of `from`'s first out-link in the CSR link storage: the link
+  /// audible_from(from)[i] sits at link_index(from) + i, a dense id in
+  /// [0, num_links()) that per-link state can be indexed by.
+  size_t link_index(NodeId from) const { return out_offsets_[from]; }
+
+  /// Number of audible directed links.
+  size_t num_links() const { return out_links_.size(); }
+
   /// Senders whose delivery probability to `to` clears
   /// kInterferenceThreshold: the only nodes whose transmissions `to` can
   /// carrier-sense or be corrupted by. Sparse-list form below the audible

@@ -15,9 +15,12 @@ namespace scoop::storage {
 
 /// Tunables for FlashStore.
 struct FlashOptions {
-  /// Tuple capacity. The paper notes ~670,000 12-bit readings fit in 1 MB;
+  /// Tuple capacity: the modelled Flash size, past which the oldest tuples
+  /// are overwritten. The paper notes ~670,000 12-bit readings fit in 1 MB;
   /// the default is far smaller to keep simulations honest about
-  /// overwrites within a 40-minute run.
+  /// overwrites within a 40-minute run. It commits no host memory up
+  /// front: the store grows with the tuples actually written
+  /// (storage/ring_buffer.h).
   size_t capacity_tuples = 16384;
   /// Energy to write one bit (§2.1: ~28 nJ/bit on a NX25P32).
   double write_nj_per_bit = 28.0;

@@ -1,9 +1,15 @@
-// Fixed-capacity circular buffer, the in-RAM/Flash storage primitive on a
-// mote: both the recent-readings buffer (§5.2) and the Flash data buffer
-// (§5.4) overwrite oldest entries when full.
+// Bounded circular buffer, the in-RAM/Flash storage primitive on a mote:
+// both the recent-readings buffer (§5.2) and the Flash data buffer (§5.4)
+// overwrite oldest entries when full.
+//
+// `capacity` is the modelled store size, not a host allocation: the
+// backing array grows on demand (doubling, clamped at capacity) and is
+// never reserved up front, so a simulated node holds host memory only for
+// the entries it actually stored. Once full, Push overwrites in place.
 #ifndef SCOOP_STORAGE_RING_BUFFER_H_
 #define SCOOP_STORAGE_RING_BUFFER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -17,12 +23,15 @@ class RingBuffer {
  public:
   explicit RingBuffer(size_t capacity) : capacity_(capacity), items_() {
     SCOOP_CHECK_GT(capacity, 0u);
-    items_.reserve(capacity);
   }
 
   /// Appends `item`, overwriting the oldest entry when full.
   void Push(T item) {
     if (items_.size() < capacity_) {
+      if (items_.size() == items_.capacity()) {
+        // Grow geometrically, but never past the modelled capacity.
+        items_.reserve(std::min(capacity_, std::max<size_t>(16, 2 * items_.size())));
+      }
       items_.push_back(std::move(item));
     } else {
       items_[head_] = std::move(item);

@@ -436,5 +436,30 @@ TEST(ShardedEquivalenceTest, CollidedReceptionsMatchAcrossShardCounts) {
   }
 }
 
+
+TEST(ShardedEquivalenceTest, DuplicateReceptionsMatchAcrossShardCounts) {
+  // radio.rx_duplicate counts addressed receptions the link layer flags as
+  // retransmissions whose ACK was lost. The flag is decided once per
+  // reception, on the receiver's owner shard, from the one filter all
+  // shards share, so the shard-summed count is a K-invariant. The random
+  // topology's links are lossy (shadowed, below-1 delivery), so ACKs do
+  // get lost and the count must be non-zero for the comparison to mean
+  // anything.
+  ExperimentConfig config = TinyConfig();
+  auto duplicates_at = [&](int shards) {
+    ExperimentConfig c = config;
+    c.metrics_out = ::testing::TempDir() + "rx-duplicate-k" + std::to_string(shards) +
+                    ".jsonl";
+    RunShardedTrial(c, /*seed=*/13, shards);
+    return FinalShardSum(c.metrics_out, "radio.rx_duplicate");
+  };
+  uint64_t ref = duplicates_at(1);
+  EXPECT_GT(ref, 0u);
+  for (int k : {2, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(k));
+    EXPECT_EQ(duplicates_at(k), ref);
+  }
+}
+
 }  // namespace
 }  // namespace scoop::harness

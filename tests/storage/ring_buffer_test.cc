@@ -1,5 +1,7 @@
 #include "storage/ring_buffer.h"
 
+#include <deque>
+
 #include <gtest/gtest.h>
 
 namespace scoop::storage {
@@ -63,6 +65,33 @@ TEST(RingBufferTest, CapacityOne) {
   rb.Push(2);
   EXPECT_EQ(rb.size(), 1u);
   EXPECT_EQ(rb[0], 2);
+}
+
+
+TEST(RingBufferTest, GrowsOnDemandUpToCapacity) {
+  // A capacity that is no power of two, filled across several growth
+  // steps, wrapped, cleared and refilled: contents always equal the last
+  // `capacity` pushes since the clear, oldest first.
+  constexpr size_t kCapacity = 1000;
+  RingBuffer<int> rb(kCapacity);
+  std::deque<int> ref;
+  for (int i = 0; i < 5000; ++i) {
+    if (i == 2600) {
+      rb.Clear();
+      ref.clear();
+    }
+    rb.Push(i);
+    ref.push_back(i);
+    if (ref.size() > kCapacity) ref.pop_front();
+    ASSERT_EQ(rb.size(), ref.size());
+    ASSERT_EQ(rb.full(), ref.size() == kCapacity);
+    if (i % 97 == 0 || i == 4999) {
+      for (size_t k = 0; k < ref.size(); ++k) ASSERT_EQ(rb[k], ref[k]) << i << " " << k;
+    }
+  }
+  EXPECT_EQ(rb.total_pushed(), 5000u);
+  // 1600 overwritten before the clear, 1400 after it.
+  EXPECT_EQ(rb.overwritten(), 3000u);
 }
 
 }  // namespace
