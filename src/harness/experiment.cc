@@ -501,6 +501,16 @@ const char* TopologyPresetName(TopologyPreset preset) {
   return "?";
 }
 
+const char* QueryModeName(ExperimentConfig::QueryMode mode) {
+  switch (mode) {
+    case ExperimentConfig::QueryMode::kValueRange:
+      return "range";
+    case ExperimentConfig::QueryMode::kNodeList:
+      return "node-list";
+  }
+  return "?";
+}
+
 const char* PolicyName(Policy policy) {
   switch (policy) {
     case Policy::kScoop:

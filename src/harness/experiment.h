@@ -151,6 +151,9 @@ struct ExperimentConfig {
   bool profile = false;
 };
 
+/// "range" or "node-list": the query_mode scenario-key spelling.
+const char* QueryModeName(ExperimentConfig::QueryMode mode);
+
 /// Aggregated (trial-averaged) results.
 struct ExperimentResult {
   /// Transmissions by packet type, including retransmissions.

@@ -1,5 +1,5 @@
 // Metrics registry: named counters, gauges, and log2 histograms sampled
-// on a sim-time interval into a JSONL time series (`--metrics-out`).
+// on a sim-time interval into a JSONL time series (`obs.metrics_out`).
 //
 // Hot-path contract: instrumentation sites resolve a `uint64_t*` once at
 // wiring time (Counter() returns a stable pointer) and the per-event cost

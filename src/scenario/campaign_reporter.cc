@@ -219,7 +219,7 @@ std::string CampaignJsonLines(const CampaignResult& result) {
 std::string CampaignPerfJson(const CampaignResult& result) {
   // The profiler buckets, as (json key, accessor) pairs shared by the
   // top-level totals and the per-row means. Emitted only when some trial
-  // actually profiled (config obs.profile / --profile), so unprofiled perf
+  // actually profiled (the obs.profile key), so unprofiled perf
   // reports keep their old shape.
   struct Bucket {
     const char* key;

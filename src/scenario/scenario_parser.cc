@@ -7,6 +7,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <variant>
 
 #include "common/types.h"
 #include "workload/data_source.h"
@@ -16,9 +19,6 @@ namespace scoop::scenario {
 namespace {
 
 using harness::ExperimentConfig;
-using harness::Policy;
-using harness::TopologyPreset;
-using workload::DataSourceKind;
 
 std::string_view TrimView(std::string_view s) {
   while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) s.remove_prefix(1);
@@ -90,669 +90,383 @@ Result<bool> ParseBool(std::string_view text) {
   return Status::InvalidArgument("expected on/off (or true/false), got " + Quoted(text));
 }
 
-std::string FormatBool(bool v) { return v ? "on" : "off"; }
-
 /// Table-local shorthand for the shared shortest-round-trip formatter.
 std::string FormatNumber(double v) { return FormatShortestDouble(v); }
 
-// Durations are stored as integer microseconds; parse by rounding (not
-// truncating) so format -> parse is exact for every representable SimTime.
-SimTime MinutesOf(double m) { return static_cast<SimTime>(std::llround(m * 60.0 * kSecond)); }
-SimTime SecondsOf(double s) { return static_cast<SimTime>(std::llround(s * kSecond)); }
-double ToMinutes(SimTime t) { return ToSeconds(t) / 60.0; }
-
 // --- the key table --------------------------------------------------------
 
-/// One scenario key: how to apply a textual value to an ExperimentConfig
-/// and how to print the current value back out (for FormatScenario).
-struct KeyInfo {
-  const char* key;
-  Status (*apply)(ExperimentConfig*, std::string_view);
-  std::string (*format)(const ExperimentConfig&);
+using Cfg = ExperimentConfig;
+
+/// A field accessor: where in the config a key's value lives. Written once
+/// against a mutable config; the writer reads through the same accessor.
+template <typename T>
+using Field = T* (*)(Cfg&);
+
+/// An enum field seen through its values' indices, so one apply and one
+/// format serve every enum: the values are walked 0, 1, 2, ... through the
+/// enum's own *Name() function until it answers "?".
+struct EnumField {
+  int (*get)(Cfg&);
+  void (*set)(Cfg*, int);
+  const char* (*name)(int);
 };
 
-// Small builders to keep the table readable. Each returns Status so the
-// parser can attach "<origin>:<line>:<col>" positions.
-Status SetPolicy(ExperimentConfig* c, std::string_view v) {
-  std::string_view s = TrimView(v);
-  if (s == "scoop") c->policy = Policy::kScoop;
-  else if (s == "local") c->policy = Policy::kLocal;
-  else if (s == "base") c->policy = Policy::kBase;
-  else if (s == "hash") c->policy = Policy::kHashAnalytical;
-  else if (s == "hash-sim") c->policy = Policy::kHashSim;
-  else return Status::InvalidArgument("unknown policy " + Quoted(v) +
-                                      " (expected scoop|local|base|hash|hash-sim)");
-  return Status::OK();
-}
-
-Status SetQueue(ExperimentConfig* c, std::string_view v) {
-  std::string_view s = TrimView(v);
-  if (s == "wheel") c->queue = sim::QueueImpl::kWheel;
-  else if (s == "heap") c->queue = sim::QueueImpl::kHeap;
-  else return Status::InvalidArgument("unknown queue " + Quoted(v) +
-                                      " (expected wheel|heap)");
-  return Status::OK();
-}
-
-Status SetPartition(ExperimentConfig* c, std::string_view v) {
-  std::string_view s = TrimView(v);
-  if (s == "strip") c->partition = sim::PartitionKind::kStrip;
-  else if (s == "mincut") c->partition = sim::PartitionKind::kMincut;
-  else return Status::InvalidArgument("unknown partition " + Quoted(v) +
-                                      " (expected strip|mincut)");
-  return Status::OK();
-}
-
-Status SetSource(ExperimentConfig* c, std::string_view v) {
-  std::string_view s = TrimView(v);
-  if (s == "real") c->source = DataSourceKind::kReal;
-  else if (s == "unique") c->source = DataSourceKind::kUnique;
-  else if (s == "equal") c->source = DataSourceKind::kEqual;
-  else if (s == "random") c->source = DataSourceKind::kRandom;
-  else if (s == "gaussian") c->source = DataSourceKind::kGaussian;
-  else return Status::InvalidArgument("unknown source " + Quoted(v) +
-                                      " (expected real|unique|equal|random|gaussian)");
-  return Status::OK();
-}
-
-Status SetTopology(ExperimentConfig* c, std::string_view v) {
-  std::string_view s = TrimView(v);
-  if (s == "testbed") c->preset = TopologyPreset::kTestbed;
-  else if (s == "random") c->preset = TopologyPreset::kRandom;
-  else if (s == "grid") c->preset = TopologyPreset::kGrid;
-  else return Status::InvalidArgument("unknown topology " + Quoted(v) +
-                                      " (expected testbed|random|grid)");
-  return Status::OK();
-}
-
-template <typename T>
-Status StoreInt(std::string_view v, T* out, int64_t lo, int64_t hi, const char* what) {
-  Result<int64_t> parsed = ParseInt(v);
-  if (!parsed.ok()) return parsed.status();
-  if (parsed.value() < lo || parsed.value() > hi) {
-    return Status::OutOfRange(std::string(what) + " must be in [" + std::to_string(lo) +
-                              ", " + std::to_string(hi) + "], got " + Quoted(TrimView(v)));
-  }
-  *out = static_cast<T>(parsed.value());
-  return Status::OK();
-}
-
-Status StoreDouble(std::string_view v, double* out, double lo, double hi, const char* what) {
-  Result<double> parsed = ParseDouble(v);
-  if (!parsed.ok()) return parsed.status();
-  if (parsed.value() < lo || parsed.value() > hi) {
-    return Status::OutOfRange(std::string(what) + " must be in [" + FormatNumber(lo) + ", " +
-                              FormatNumber(hi) + "], got " + Quoted(TrimView(v)));
-  }
-  *out = parsed.value();
-  return Status::OK();
-}
+/// One scenario key: its name, kind, field and accepted range.
+struct KeyDesc {
+  const char* key;
+  KeyKind kind;
+  std::variant<Field<int>, Field<uint64_t>, Field<double>, Field<bool>, Field<SimTime>,
+               Field<std::string>, EnumField>
+      field;
+  double lo = 0;  ///< kInt/kDouble: inclusive range; durations: [0, ten years].
+  double hi = 0;
+  bool allow_zero = false;  ///< Durations: whether 0 is accepted.
+};
 
 // Upper bound on any single duration value: one simulated decade. Keeps
 // the microsecond conversion far inside llround()'s defined int64 range.
 constexpr double kMaxDurationSeconds = 10.0 * 365 * 24 * 3600;
+constexpr bool kZeroOk = true;
+constexpr bool kPositive = false;
 
-Status StoreMinutes(std::string_view v, SimTime* out, bool allow_zero, const char* what) {
-  Result<double> parsed = ParseDouble(v);
-  if (!parsed.ok()) return parsed.status();
-  if (parsed.value() < 0 || (!allow_zero && parsed.value() == 0) ||
-      parsed.value() * 60.0 > kMaxDurationSeconds) {
-    return Status::OutOfRange(std::string(what) + " must be " +
-                              (allow_zero ? ">= 0" : "> 0") +
-                              " and at most ten years of minutes, got " +
-                              Quoted(TrimView(v)));
-  }
-  *out = MinutesOf(parsed.value());
-  return Status::OK();
+constexpr KeyDesc IntKey(const char* key, Field<int> f, int lo, int hi) {
+  return {key, KeyKind::kInt, f, static_cast<double>(lo), static_cast<double>(hi)};
+}
+constexpr KeyDesc UintKey(const char* key, Field<uint64_t> f) {
+  return {key, KeyKind::kUint, f};
+}
+constexpr KeyDesc RealKey(const char* key, Field<double> f, double lo, double hi) {
+  return {key, KeyKind::kDouble, f, lo, hi};
+}
+constexpr KeyDesc BoolKey(const char* key, Field<bool> f) { return {key, KeyKind::kBool, f}; }
+constexpr KeyDesc PathKey(const char* key, Field<std::string> f) {
+  return {key, KeyKind::kPath, f};
+}
+constexpr KeyDesc TimeKey(KeyKind unit, const char* key, Field<SimTime> f, bool allow_zero) {
+  double seconds_per_unit = unit == KeyKind::kMinutes   ? 60.0
+                            : unit == KeyKind::kSeconds ? 1.0
+                                                        : 0.001;
+  return {key, unit, f, 0.0, kMaxDurationSeconds / seconds_per_unit, allow_zero};
+}
+/// `Name` is the enum's *Name() function and `Get` the type of a
+/// captureless accessor lambda, which the generated functions rebuild
+/// (C++20 closures without captures are default-constructible).
+template <auto Name, typename Get>
+constexpr KeyDesc EnumKey(const char* key, Get) {
+  using E = std::remove_pointer_t<decltype(Get{}(std::declval<Cfg&>()))>;
+  return {key, KeyKind::kEnum,
+          EnumField{[](Cfg& c) { return static_cast<int>(*Get{}(c)); },
+                    [](Cfg* c, int v) { *Get{}(*c) = static_cast<E>(v); },
+                    [](int v) -> const char* { return Name(static_cast<E>(v)); }}};
 }
 
-Status StoreSeconds(std::string_view v, SimTime* out, bool allow_zero, const char* what) {
-  Result<double> parsed = ParseDouble(v);
-  if (!parsed.ok()) return parsed.status();
-  if (parsed.value() < 0 || (!allow_zero && parsed.value() == 0) ||
-      parsed.value() > kMaxDurationSeconds) {
-    return Status::OutOfRange(std::string(what) + " must be " +
-                              (allow_zero ? ">= 0" : "> 0") +
-                              " and at most ten years of seconds, got " +
-                              Quoted(TrimView(v)));
-  }
-  *out = SecondsOf(parsed.value());
-  return Status::OK();
-}
+using KeyKind::kMillis;
+using KeyKind::kMinutes;
+using KeyKind::kSeconds;
 
-Status StoreMillis(std::string_view v, SimTime* out, bool allow_zero, const char* what) {
-  Result<double> parsed = ParseDouble(v);
-  if (!parsed.ok()) return parsed.status();
-  if (parsed.value() < 0 || (!allow_zero && parsed.value() == 0) ||
-      parsed.value() / 1000.0 > kMaxDurationSeconds) {
-    return Status::OutOfRange(std::string(what) + " must be " +
-                              (allow_zero ? ">= 0" : "> 0") +
-                              " and at most ten years of milliseconds, got " +
-                              Quoted(TrimView(v)));
-  }
-  *out = static_cast<SimTime>(std::llround(parsed.value() * kMillisecond));
-  return Status::OK();
-}
-
-std::string FormatMillis(SimTime t) { return FormatNumber(ToSeconds(t) * 1000.0); }
-
-Status StoreBool(std::string_view v, bool* out) {
-  Result<bool> parsed = ParseBool(v);
-  if (!parsed.ok()) return parsed.status();
-  *out = parsed.value();
-  return Status::OK();
-}
-
-/// Every ExperimentConfig knob, in canonical writer order. The macro-free
-/// table keeps apply and format side by side so a knob cannot be writable
-/// but not readable (the round-trip test walks this same table).
-const KeyInfo kKeys[] = {
-    {"policy", SetPolicy,
-     [](const ExperimentConfig& c) { return std::string(harness::PolicyName(c.policy)); }},
-    {"source", SetSource,
-     [](const ExperimentConfig& c) {
-       return std::string(workload::DataSourceKindName(c.source));
-     }},
-    {"topology", SetTopology,
-     [](const ExperimentConfig& c) {
-       return std::string(harness::TopologyPresetName(c.preset));
-     }},
-    {"nodes",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreInt(v, &c->num_nodes, 2, kMaxSupportedNodes, "nodes");
-     },
-     [](const ExperimentConfig& c) { return std::to_string(c.num_nodes); }},
-    {"duration_minutes",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreMinutes(v, &c->duration, /*allow_zero=*/false, "duration_minutes");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(ToMinutes(c.duration)); }},
-    {"stabilization_minutes",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreMinutes(v, &c->stabilization, /*allow_zero=*/true,
-                           "stabilization_minutes");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(ToMinutes(c.stabilization)); }},
-    {"sample_interval_seconds",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreSeconds(v, &c->sample_interval, /*allow_zero=*/false,
-                           "sample_interval_seconds");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(ToSeconds(c.sample_interval)); }},
-    {"summary_interval_seconds",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreSeconds(v, &c->summary_interval, /*allow_zero=*/false,
-                           "summary_interval_seconds");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(ToSeconds(c.summary_interval)); }},
-    {"remap_interval_seconds",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreSeconds(v, &c->remap_interval, /*allow_zero=*/false,
-                           "remap_interval_seconds");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(ToSeconds(c.remap_interval)); }},
-    {"queries",
-     [](ExperimentConfig* c, std::string_view v) { return StoreBool(v, &c->queries_enabled); },
-     [](const ExperimentConfig& c) { return FormatBool(c.queries_enabled); }},
-    {"query_interval_seconds",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreSeconds(v, &c->query_interval, /*allow_zero=*/false,
-                           "query_interval_seconds");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(ToSeconds(c.query_interval)); }},
-    {"query_burst_size",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreInt(v, &c->query_burst_size, 1, 1000, "query_burst_size");
-     },
-     [](const ExperimentConfig& c) { return std::to_string(c.query_burst_size); }},
-    {"query_burst_spacing_seconds",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreSeconds(v, &c->query_burst_spacing, /*allow_zero=*/false,
-                           "query_burst_spacing_seconds");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(ToSeconds(c.query_burst_spacing));
-     }},
-    {"query_mode",
-     [](ExperimentConfig* c, std::string_view v) {
-       std::string_view s = TrimView(v);
-       if (s == "range") c->query_mode = ExperimentConfig::QueryMode::kValueRange;
-       else if (s == "node-list") c->query_mode = ExperimentConfig::QueryMode::kNodeList;
-       else return Status::InvalidArgument("unknown query_mode " + Quoted(v) +
-                                           " (expected range|node-list)");
-       return Status::OK();
-     },
-     [](const ExperimentConfig& c) {
-       return std::string(c.query_mode == ExperimentConfig::QueryMode::kNodeList
-                              ? "node-list"
-                              : "range");
-     }},
-    {"query_width_lo",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->query_width_lo, 0.0, 1.0, "query_width_lo");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.query_width_lo); }},
-    {"query_width_hi",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->query_width_hi, 0.0, 1.0, "query_width_hi");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.query_width_hi); }},
-    {"node_list_fraction",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->node_list_fraction, 0.0, 1.0, "node_list_fraction");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.node_list_fraction); }},
-    {"history_window_seconds",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreSeconds(v, &c->query_history_window, /*allow_zero=*/false,
-                           "history_window_seconds");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(ToSeconds(c.query_history_window));
-     }},
-    {"summary_history_window_minutes",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreMinutes(v, &c->summary_history_window, /*allow_zero=*/true,
-                           "summary_history_window_minutes");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(ToMinutes(c.summary_history_window));
-     }},
-    {"summary_history_epoch_minutes",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreMinutes(v, &c->summary_history_epoch, /*allow_zero=*/false,
-                           "summary_history_epoch_minutes");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(ToMinutes(c.summary_history_epoch));
-     }},
-    {"trials",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreInt(v, &c->trials, 1, 10000, "trials");
-     },
-     [](const ExperimentConfig& c) { return std::to_string(c.trials); }},
-    {"seed",
-     [](ExperimentConfig* c, std::string_view v) {
-       Result<uint64_t> parsed = ParseUint(v);
-       if (!parsed.ok()) return parsed.status();
-       c->seed = parsed.value();
-       return Status::OK();
-     },
-     [](const ExperimentConfig& c) { return std::to_string(c.seed); }},
-    {"shards",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreInt(v, &c->shards, 0, 64, "shards");
-     },
-     [](const ExperimentConfig& c) { return std::to_string(c.shards); }},
-    {"queue", SetQueue,
-     [](const ExperimentConfig& c) { return std::string(sim::QueueImplName(c.queue)); }},
-    {"partition", SetPartition,
-     [](const ExperimentConfig& c) {
-       return std::string(sim::PartitionKindName(c.partition));
-     }},
-    {"failure_fraction",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->node_failure_fraction, 0.0, 1.0, "failure_fraction");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.node_failure_fraction); }},
-    {"failure_minute",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreMinutes(v, &c->failure_time, /*allow_zero=*/true, "failure_minute");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(ToMinutes(c.failure_time)); }},
-    {"failure_wave_count",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreInt(v, &c->failure_wave_count, 1, 1000, "failure_wave_count");
-     },
-     [](const ExperimentConfig& c) { return std::to_string(c.failure_wave_count); }},
-    {"failure_wave_interval_minutes",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreMinutes(v, &c->failure_wave_interval, /*allow_zero=*/false,
-                           "failure_wave_interval_minutes");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(ToMinutes(c.failure_wave_interval));
-     }},
-    // Typed fault injection (src/fault/). The four fault.crash_* keys are
-    // compatibility aliases for the legacy failure_* knobs above: both
-    // names read and write the same ExperimentConfig fields, so old
-    // scenarios keep parsing and new ones can use the namespaced spelling.
-    {"fault.crash_fraction",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->node_failure_fraction, 0.0, 1.0, "fault.crash_fraction");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.node_failure_fraction); }},
-    {"fault.crash_minute",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreMinutes(v, &c->failure_time, /*allow_zero=*/true, "fault.crash_minute");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(ToMinutes(c.failure_time)); }},
-    {"fault.crash_wave_count",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreInt(v, &c->failure_wave_count, 1, 1000, "fault.crash_wave_count");
-     },
-     [](const ExperimentConfig& c) { return std::to_string(c.failure_wave_count); }},
-    {"fault.crash_wave_interval_minutes",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreMinutes(v, &c->failure_wave_interval, /*allow_zero=*/false,
-                           "fault.crash_wave_interval_minutes");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(ToMinutes(c.failure_wave_interval));
-     }},
-    {"fault.reboot_fraction",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->fault.reboot_fraction, 0.0, 1.0, "fault.reboot_fraction");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.fault.reboot_fraction); }},
-    {"fault.reboot_minute",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreMinutes(v, &c->fault.reboot_time, /*allow_zero=*/true,
-                           "fault.reboot_minute");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(ToMinutes(c.fault.reboot_time)); }},
-    {"fault.reboot_wave_count",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreInt(v, &c->fault.reboot_wave_count, 1, 1000, "fault.reboot_wave_count");
-     },
-     [](const ExperimentConfig& c) { return std::to_string(c.fault.reboot_wave_count); }},
-    {"fault.reboot_wave_interval_minutes",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreMinutes(v, &c->fault.reboot_wave_interval, /*allow_zero=*/false,
-                           "fault.reboot_wave_interval_minutes");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(ToMinutes(c.fault.reboot_wave_interval));
-     }},
-    {"fault.reboot_downtime_seconds",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreSeconds(v, &c->fault.reboot_downtime, /*allow_zero=*/false,
-                           "fault.reboot_downtime_seconds");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(ToSeconds(c.fault.reboot_downtime));
-     }},
-    {"fault.link_degrade_factor",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->fault.link_degrade_factor, 0.0, 1.0,
-                          "fault.link_degrade_factor");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.fault.link_degrade_factor); }},
-    {"fault.link_degrade_start_minute",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreMinutes(v, &c->fault.link_degrade_start, /*allow_zero=*/true,
-                           "fault.link_degrade_start_minute");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(ToMinutes(c.fault.link_degrade_start));
-     }},
-    {"fault.link_degrade_end_minute",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreMinutes(v, &c->fault.link_degrade_end, /*allow_zero=*/true,
-                           "fault.link_degrade_end_minute");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(ToMinutes(c.fault.link_degrade_end));
-     }},
-    {"fault.link_degrade_x_lo",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->fault.link_degrade_x_lo, 0.0, 1.0,
-                          "fault.link_degrade_x_lo");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.fault.link_degrade_x_lo); }},
-    {"fault.link_degrade_x_hi",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->fault.link_degrade_x_hi, 0.0, 1.0,
-                          "fault.link_degrade_x_hi");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.fault.link_degrade_x_hi); }},
-    {"fault.link_degrade_y_lo",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->fault.link_degrade_y_lo, 0.0, 1.0,
-                          "fault.link_degrade_y_lo");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.fault.link_degrade_y_lo); }},
-    {"fault.link_degrade_y_hi",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->fault.link_degrade_y_hi, 0.0, 1.0,
-                          "fault.link_degrade_y_hi");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.fault.link_degrade_y_hi); }},
-    {"fault.partition_start_minute",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreMinutes(v, &c->fault.partition_start, /*allow_zero=*/true,
-                           "fault.partition_start_minute");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(ToMinutes(c.fault.partition_start));
-     }},
-    {"fault.partition_end_minute",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreMinutes(v, &c->fault.partition_end, /*allow_zero=*/true,
-                           "fault.partition_end_minute");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(ToMinutes(c.fault.partition_end));
-     }},
-    {"fault.partition_x_lo",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->fault.partition_x_lo, 0.0, 1.0, "fault.partition_x_lo");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.fault.partition_x_lo); }},
-    {"fault.partition_x_hi",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->fault.partition_x_hi, 0.0, 1.0, "fault.partition_x_hi");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.fault.partition_x_hi); }},
-    {"fault.partition_y_lo",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->fault.partition_y_lo, 0.0, 1.0, "fault.partition_y_lo");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.fault.partition_y_lo); }},
-    {"fault.partition_y_hi",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->fault.partition_y_hi, 0.0, 1.0, "fault.partition_y_hi");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.fault.partition_y_hi); }},
-    {"fault.base_outage_start_minute",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreMinutes(v, &c->fault.base_outage_start, /*allow_zero=*/true,
-                           "fault.base_outage_start_minute");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(ToMinutes(c.fault.base_outage_start));
-     }},
-    {"fault.base_outage_end_minute",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreMinutes(v, &c->fault.base_outage_end, /*allow_zero=*/true,
-                           "fault.base_outage_end_minute");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(ToMinutes(c.fault.base_outage_end));
-     }},
-    {"fault.base_backup",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreInt(v, &c->fault.base_backup, 0, kMaxSupportedNodes,
-                       "fault.base_backup");
-     },
-     [](const ExperimentConfig& c) { return std::to_string(c.fault.base_backup); }},
-    {"fault.orphan_rehoming",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreBool(v, &c->fault.orphan_rehoming);
-     },
-     [](const ExperimentConfig& c) { return FormatBool(c.fault.orphan_rehoming); }},
-    {"fault.send_retry_max",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreInt(v, &c->fault.send_retry_max, 0, 100, "fault.send_retry_max");
-     },
-     [](const ExperimentConfig& c) { return std::to_string(c.fault.send_retry_max); }},
-    {"fault.send_retry_backoff_ms",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreMillis(v, &c->fault.send_retry_backoff, /*allow_zero=*/false,
-                          "fault.send_retry_backoff_ms");
-     },
-     [](const ExperimentConfig& c) { return FormatMillis(c.fault.send_retry_backoff); }},
-    {"fault.query_reissue_max",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreInt(v, &c->fault.query_reissue_max, 0, 100, "fault.query_reissue_max");
-     },
-     [](const ExperimentConfig& c) { return std::to_string(c.fault.query_reissue_max); }},
-    {"max_batch",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreInt(v, &c->max_batch, 1, 1000, "max_batch");
-     },
-     [](const ExperimentConfig& c) { return std::to_string(c.max_batch); }},
-    {"neighbor_shortcut",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreBool(v, &c->enable_neighbor_shortcut);
-     },
-     [](const ExperimentConfig& c) { return FormatBool(c.enable_neighbor_shortcut); }},
-    {"descendant_routing",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreBool(v, &c->enable_descendant_routing);
-     },
-     [](const ExperimentConfig& c) { return FormatBool(c.enable_descendant_routing); }},
-    {"suppression_similarity",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->suppression_similarity, 0.0, 1.0, "suppression_similarity");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.suppression_similarity); }},
-    {"consider_store_local",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreBool(v, &c->builder.consider_store_local);
-     },
-     [](const ExperimentConfig& c) { return FormatBool(c.builder.consider_store_local); }},
-    {"owner_set",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreInt(v, &c->builder.owner_set_size, 1, kMaxSupportedNodes, "owner_set");
-     },
-     [](const ExperimentConfig& c) { return std::to_string(c.builder.owner_set_size); }},
-    {"range_granularity",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreInt(v, &c->builder.range_granularity, 1, 1 << 20, "range_granularity");
-     },
-     [](const ExperimentConfig& c) { return std::to_string(c.builder.range_granularity); }},
-    {"owner_hysteresis",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->builder.owner_hysteresis, 0.0, 1.0, "owner_hysteresis");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.builder.owner_hysteresis); }},
-    {"domain_lo",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreInt(v, &c->source_options.domain_lo, -(1 << 30), 1 << 30, "domain_lo");
-     },
-     [](const ExperimentConfig& c) { return std::to_string(c.source_options.domain_lo); }},
-    {"domain_hi",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreInt(v, &c->source_options.domain_hi, -(1 << 30), 1 << 30, "domain_hi");
-     },
-     [](const ExperimentConfig& c) { return std::to_string(c.source_options.domain_hi); }},
-    {"equal_value",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreInt(v, &c->source_options.equal_value, -(1 << 30), 1 << 30, "equal_value");
-     },
-     [](const ExperimentConfig& c) { return std::to_string(c.source_options.equal_value); }},
-    {"gaussian_variance",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->source_options.gaussian_variance, 0.0, 1e9,
-                          "gaussian_variance");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(c.source_options.gaussian_variance);
-     }},
-    {"gaussian_mean_skew",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->source_options.gaussian_mean_skew, 0.01, 100.0,
-                          "gaussian_mean_skew");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(c.source_options.gaussian_mean_skew);
-     }},
-    {"real_domain_hi",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreInt(v, &c->source_options.real_domain_hi, 1, 1 << 30, "real_domain_hi");
-     },
-     [](const ExperimentConfig& c) {
-       return std::to_string(c.source_options.real_domain_hi);
-     }},
-    {"real_shared_weight",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->source_options.real_shared_weight, 0.0, 1.0,
-                          "real_shared_weight");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(c.source_options.real_shared_weight);
-     }},
-    {"real_correlation_meters",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->source_options.real_correlation_meters, 0.01, 1e6,
-                          "real_correlation_meters");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(c.source_options.real_correlation_meters);
-     }},
-    {"real_noise",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->source_options.real_noise, 0.0, 1e6, "real_noise");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.source_options.real_noise); }},
-    {"energy_tx_nj_per_bit",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->energy.tx_nj_per_bit, 0.0, 1e9, "energy_tx_nj_per_bit");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.energy.tx_nj_per_bit); }},
-    {"energy_rx_nj_per_bit",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->energy.rx_nj_per_bit, 0.0, 1e9, "energy_rx_nj_per_bit");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.energy.rx_nj_per_bit); }},
-    {"energy_flash_write_nj_per_bit",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->energy.flash_write_nj_per_bit, 0.0, 1e9,
-                          "energy_flash_write_nj_per_bit");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.energy.flash_write_nj_per_bit); }},
-    {"energy_battery_joules",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->energy.battery_joules, 0.0, 1e12, "energy_battery_joules");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.energy.battery_joules); }},
-    // Observability (src/obs/). Path keys use the "off" sentinel because a
-    // .scn value cannot be empty; "off"/"none" both mean disabled.
-    {"obs.trace_out",
-     [](ExperimentConfig* c, std::string_view v) {
-       std::string_view s = TrimView(v);
-       c->trace_out = (s == "off" || s == "none") ? std::string() : std::string(s);
-       return Status::OK();
-     },
-     [](const ExperimentConfig& c) {
-       return c.trace_out.empty() ? std::string("off") : c.trace_out;
-     }},
-    {"obs.metrics_out",
-     [](ExperimentConfig* c, std::string_view v) {
-       std::string_view s = TrimView(v);
-       c->metrics_out = (s == "off" || s == "none") ? std::string() : std::string(s);
-       return Status::OK();
-     },
-     [](const ExperimentConfig& c) {
-       return c.metrics_out.empty() ? std::string("off") : c.metrics_out;
-     }},
-    {"obs.metrics_interval_seconds",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreSeconds(v, &c->metrics_interval, /*allow_zero=*/false,
-                           "obs.metrics_interval_seconds");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(ToSeconds(c.metrics_interval)); }},
-    {"obs.profile",
-     [](ExperimentConfig* c, std::string_view v) { return StoreBool(v, &c->profile); },
-     [](const ExperimentConfig& c) { return FormatBool(c.profile); }},
+/// Every ExperimentConfig knob, in canonical writer order. One row per
+/// key; the round-trip test walks this same table, so a knob cannot be
+/// writable but not readable.
+constexpr KeyDesc kKeys[] = {
+    EnumKey<harness::PolicyName>("policy", [](Cfg& c) { return &c.policy; }),
+    EnumKey<workload::DataSourceKindName>("source", [](Cfg& c) { return &c.source; }),
+    EnumKey<harness::TopologyPresetName>("topology", [](Cfg& c) { return &c.preset; }),
+    IntKey("nodes", [](Cfg& c) { return &c.num_nodes; }, 2, kMaxSupportedNodes),
+    TimeKey(kMinutes, "duration_minutes", [](Cfg& c) { return &c.duration; }, kPositive),
+    TimeKey(kMinutes, "stabilization_minutes", [](Cfg& c) { return &c.stabilization; },
+            kZeroOk),
+    TimeKey(kSeconds, "sample_interval_seconds", [](Cfg& c) { return &c.sample_interval; },
+            kPositive),
+    TimeKey(kSeconds, "summary_interval_seconds", [](Cfg& c) { return &c.summary_interval; },
+            kPositive),
+    TimeKey(kSeconds, "remap_interval_seconds", [](Cfg& c) { return &c.remap_interval; },
+            kPositive),
+    BoolKey("queries", [](Cfg& c) { return &c.queries_enabled; }),
+    TimeKey(kSeconds, "query_interval_seconds", [](Cfg& c) { return &c.query_interval; },
+            kPositive),
+    IntKey("query_burst_size", [](Cfg& c) { return &c.query_burst_size; }, 1, 1000),
+    TimeKey(kSeconds, "query_burst_spacing_seconds",
+            [](Cfg& c) { return &c.query_burst_spacing; }, kPositive),
+    EnumKey<harness::QueryModeName>("query_mode", [](Cfg& c) { return &c.query_mode; }),
+    RealKey("query_width_lo", [](Cfg& c) { return &c.query_width_lo; }, 0.0, 1.0),
+    RealKey("query_width_hi", [](Cfg& c) { return &c.query_width_hi; }, 0.0, 1.0),
+    RealKey("node_list_fraction", [](Cfg& c) { return &c.node_list_fraction; }, 0.0, 1.0),
+    TimeKey(kSeconds, "history_window_seconds", [](Cfg& c) { return &c.query_history_window; },
+            kPositive),
+    TimeKey(kMinutes, "summary_history_window_minutes",
+            [](Cfg& c) { return &c.summary_history_window; }, kZeroOk),
+    TimeKey(kMinutes, "summary_history_epoch_minutes",
+            [](Cfg& c) { return &c.summary_history_epoch; }, kPositive),
+    IntKey("trials", [](Cfg& c) { return &c.trials; }, 1, 10000),
+    UintKey("seed", [](Cfg& c) { return &c.seed; }),
+    IntKey("shards", [](Cfg& c) { return &c.shards; }, 0, 64),
+    EnumKey<sim::QueueImplName>("queue", [](Cfg& c) { return &c.queue; }),
+    EnumKey<sim::PartitionKindName>("partition", [](Cfg& c) { return &c.partition; }),
+    // Typed fault injection (src/fault/). The crash-stop keys write the
+    // node_failure_* / failure_* config fields the harness has always read.
+    RealKey("fault.crash_fraction", [](Cfg& c) { return &c.node_failure_fraction; }, 0.0, 1.0),
+    TimeKey(kMinutes, "fault.crash_minute", [](Cfg& c) { return &c.failure_time; }, kZeroOk),
+    IntKey("fault.crash_wave_count", [](Cfg& c) { return &c.failure_wave_count; }, 1, 1000),
+    TimeKey(kMinutes, "fault.crash_wave_interval_minutes",
+            [](Cfg& c) { return &c.failure_wave_interval; }, kPositive),
+    RealKey("fault.reboot_fraction", [](Cfg& c) { return &c.fault.reboot_fraction; }, 0.0, 1.0),
+    TimeKey(kMinutes, "fault.reboot_minute", [](Cfg& c) { return &c.fault.reboot_time; },
+            kZeroOk),
+    IntKey("fault.reboot_wave_count", [](Cfg& c) { return &c.fault.reboot_wave_count; }, 1,
+           1000),
+    TimeKey(kMinutes, "fault.reboot_wave_interval_minutes",
+            [](Cfg& c) { return &c.fault.reboot_wave_interval; }, kPositive),
+    TimeKey(kSeconds, "fault.reboot_downtime_seconds",
+            [](Cfg& c) { return &c.fault.reboot_downtime; }, kPositive),
+    RealKey("fault.link_degrade_factor", [](Cfg& c) { return &c.fault.link_degrade_factor; },
+            0.0, 1.0),
+    TimeKey(kMinutes, "fault.link_degrade_start_minute",
+            [](Cfg& c) { return &c.fault.link_degrade_start; }, kZeroOk),
+    TimeKey(kMinutes, "fault.link_degrade_end_minute",
+            [](Cfg& c) { return &c.fault.link_degrade_end; }, kZeroOk),
+    RealKey("fault.link_degrade_x_lo", [](Cfg& c) { return &c.fault.link_degrade_x_lo; }, 0.0,
+            1.0),
+    RealKey("fault.link_degrade_x_hi", [](Cfg& c) { return &c.fault.link_degrade_x_hi; }, 0.0,
+            1.0),
+    RealKey("fault.link_degrade_y_lo", [](Cfg& c) { return &c.fault.link_degrade_y_lo; }, 0.0,
+            1.0),
+    RealKey("fault.link_degrade_y_hi", [](Cfg& c) { return &c.fault.link_degrade_y_hi; }, 0.0,
+            1.0),
+    TimeKey(kMinutes, "fault.partition_start_minute",
+            [](Cfg& c) { return &c.fault.partition_start; }, kZeroOk),
+    TimeKey(kMinutes, "fault.partition_end_minute",
+            [](Cfg& c) { return &c.fault.partition_end; }, kZeroOk),
+    RealKey("fault.partition_x_lo", [](Cfg& c) { return &c.fault.partition_x_lo; }, 0.0, 1.0),
+    RealKey("fault.partition_x_hi", [](Cfg& c) { return &c.fault.partition_x_hi; }, 0.0, 1.0),
+    RealKey("fault.partition_y_lo", [](Cfg& c) { return &c.fault.partition_y_lo; }, 0.0, 1.0),
+    RealKey("fault.partition_y_hi", [](Cfg& c) { return &c.fault.partition_y_hi; }, 0.0, 1.0),
+    TimeKey(kMinutes, "fault.base_outage_start_minute",
+            [](Cfg& c) { return &c.fault.base_outage_start; }, kZeroOk),
+    TimeKey(kMinutes, "fault.base_outage_end_minute",
+            [](Cfg& c) { return &c.fault.base_outage_end; }, kZeroOk),
+    IntKey("fault.base_backup", [](Cfg& c) { return &c.fault.base_backup; }, 0,
+           kMaxSupportedNodes),
+    BoolKey("fault.orphan_rehoming", [](Cfg& c) { return &c.fault.orphan_rehoming; }),
+    IntKey("fault.send_retry_max", [](Cfg& c) { return &c.fault.send_retry_max; }, 0, 100),
+    TimeKey(kMillis, "fault.send_retry_backoff_ms",
+            [](Cfg& c) { return &c.fault.send_retry_backoff; }, kPositive),
+    IntKey("fault.query_reissue_max", [](Cfg& c) { return &c.fault.query_reissue_max; }, 0,
+           100),
+    IntKey("max_batch", [](Cfg& c) { return &c.max_batch; }, 1, 1000),
+    BoolKey("neighbor_shortcut", [](Cfg& c) { return &c.enable_neighbor_shortcut; }),
+    BoolKey("descendant_routing", [](Cfg& c) { return &c.enable_descendant_routing; }),
+    RealKey("suppression_similarity", [](Cfg& c) { return &c.suppression_similarity; }, 0.0,
+            1.0),
+    BoolKey("consider_store_local", [](Cfg& c) { return &c.builder.consider_store_local; }),
+    IntKey("owner_set", [](Cfg& c) { return &c.builder.owner_set_size; }, 1,
+           kMaxSupportedNodes),
+    IntKey("range_granularity", [](Cfg& c) { return &c.builder.range_granularity; }, 1,
+           1 << 20),
+    RealKey("owner_hysteresis", [](Cfg& c) { return &c.builder.owner_hysteresis; }, 0.0, 1.0),
+    IntKey("domain_lo", [](Cfg& c) { return &c.source_options.domain_lo; }, -(1 << 30),
+           1 << 30),
+    IntKey("domain_hi", [](Cfg& c) { return &c.source_options.domain_hi; }, -(1 << 30),
+           1 << 30),
+    IntKey("equal_value", [](Cfg& c) { return &c.source_options.equal_value; }, -(1 << 30),
+           1 << 30),
+    RealKey("gaussian_variance", [](Cfg& c) { return &c.source_options.gaussian_variance; },
+            0.0, 1e9),
+    RealKey("gaussian_mean_skew", [](Cfg& c) { return &c.source_options.gaussian_mean_skew; },
+            0.01, 100.0),
+    IntKey("real_domain_hi", [](Cfg& c) { return &c.source_options.real_domain_hi; }, 1,
+           1 << 30),
+    RealKey("real_shared_weight", [](Cfg& c) { return &c.source_options.real_shared_weight; },
+            0.0, 1.0),
+    RealKey("real_correlation_meters",
+            [](Cfg& c) { return &c.source_options.real_correlation_meters; }, 0.01, 1e6),
+    RealKey("real_noise", [](Cfg& c) { return &c.source_options.real_noise; }, 0.0, 1e6),
+    RealKey("energy_tx_nj_per_bit", [](Cfg& c) { return &c.energy.tx_nj_per_bit; }, 0.0, 1e9),
+    RealKey("energy_rx_nj_per_bit", [](Cfg& c) { return &c.energy.rx_nj_per_bit; }, 0.0, 1e9),
+    RealKey("energy_flash_write_nj_per_bit",
+            [](Cfg& c) { return &c.energy.flash_write_nj_per_bit; }, 0.0, 1e9),
+    RealKey("energy_battery_joules", [](Cfg& c) { return &c.energy.battery_joules; }, 0.0,
+            1e12),
+    // Observability (src/obs/).
+    PathKey("obs.trace_out", [](Cfg& c) { return &c.trace_out; }),
+    PathKey("obs.metrics_out", [](Cfg& c) { return &c.metrics_out; }),
+    TimeKey(kSeconds, "obs.metrics_interval_seconds",
+            [](Cfg& c) { return &c.metrics_interval; }, kPositive),
+    BoolKey("obs.profile", [](Cfg& c) { return &c.profile; }),
 };
 
-const KeyInfo* FindKey(std::string_view key) {
-  for (const KeyInfo& info : kKeys) {
-    if (key == info.key) return &info;
+const KeyDesc* FindKey(std::string_view key) {
+  for (const KeyDesc& desc : kKeys) {
+    if (key == desc.key) return &desc;
   }
   return nullptr;
+}
+
+/// The word a duration kind's range message uses for its unit.
+const char* UnitWord(KeyKind unit) {
+  return unit == kMinutes ? "minutes" : unit == kSeconds ? "seconds" : "milliseconds";
+}
+
+/// "a|b|c": every value of an enum, walked through its *Name() function.
+std::string EnumChoices(const EnumField& e) {
+  std::string out;
+  for (int i = 0; e.name(i)[0] != '?'; ++i) {
+    if (i > 0) out += '|';
+    out += e.name(i);
+  }
+  return out;
+}
+
+/// The accepted range in the words of the out-of-range message, e.g.
+/// "in [2, 65534]" or "> 0 and at most ten years of minutes".
+std::string RangeText(const KeyDesc& k) {
+  switch (k.kind) {
+    case KeyKind::kInt:
+      return "in [" + std::to_string(static_cast<int64_t>(k.lo)) + ", " +
+             std::to_string(static_cast<int64_t>(k.hi)) + "]";
+    case KeyKind::kDouble:
+      return "in [" + FormatNumber(k.lo) + ", " + FormatNumber(k.hi) + "]";
+    case KeyKind::kMinutes:
+    case KeyKind::kSeconds:
+    case KeyKind::kMillis:
+      return std::string(k.allow_zero ? ">= 0" : "> 0") + " and at most ten years of " +
+             UnitWord(k.kind);
+    default:
+      return "";
+  }
+}
+
+Status OutOfRange(const KeyDesc& k, std::string_view v) {
+  return Status::OutOfRange(std::string(k.key) + " must be " + RangeText(k) + ", got " +
+                            Quoted(TrimView(v)));
+}
+
+// Durations are stored as integer microseconds; parse by rounding (not
+// truncating) so format -> parse is exact for every representable SimTime.
+SimTime FromUnit(KeyKind unit, double v) {
+  double us = unit == kMinutes   ? v * 60.0 * kSecond
+              : unit == kSeconds ? v * kSecond
+                                 : v * kMillisecond;
+  return static_cast<SimTime>(std::llround(us));
+}
+double ToUnit(KeyKind unit, SimTime t) {
+  return unit == kMinutes   ? ToSeconds(t) / 60.0
+         : unit == kSeconds ? ToSeconds(t)
+                            : ToSeconds(t) * 1000.0;
+}
+
+/// Parses `v` by the row's kind, checks the row's range, and stores it.
+Status Apply(const KeyDesc& k, Cfg* c, std::string_view v) {
+  switch (k.kind) {
+    case KeyKind::kInt: {
+      Result<int64_t> parsed = ParseInt(v);
+      if (!parsed.ok()) return parsed.status();
+      if (parsed.value() < static_cast<int64_t>(k.lo) ||
+          parsed.value() > static_cast<int64_t>(k.hi)) {
+        return OutOfRange(k, v);
+      }
+      *std::get<Field<int>>(k.field)(*c) = static_cast<int>(parsed.value());
+      return Status::OK();
+    }
+    case KeyKind::kUint: {
+      Result<uint64_t> parsed = ParseUint(v);
+      if (!parsed.ok()) return parsed.status();
+      *std::get<Field<uint64_t>>(k.field)(*c) = parsed.value();
+      return Status::OK();
+    }
+    case KeyKind::kDouble: {
+      Result<double> parsed = ParseDouble(v);
+      if (!parsed.ok()) return parsed.status();
+      if (parsed.value() < k.lo || parsed.value() > k.hi) return OutOfRange(k, v);
+      *std::get<Field<double>>(k.field)(*c) = parsed.value();
+      return Status::OK();
+    }
+    case KeyKind::kBool: {
+      Result<bool> parsed = ParseBool(v);
+      if (!parsed.ok()) return parsed.status();
+      *std::get<Field<bool>>(k.field)(*c) = parsed.value();
+      return Status::OK();
+    }
+    case KeyKind::kMinutes:
+    case KeyKind::kSeconds:
+    case KeyKind::kMillis: {
+      Result<double> parsed = ParseDouble(v);
+      if (!parsed.ok()) return parsed.status();
+      double d = parsed.value();
+      if (d < 0 || (!k.allow_zero && d == 0) || d > k.hi) return OutOfRange(k, v);
+      *std::get<Field<SimTime>>(k.field)(*c) = FromUnit(k.kind, d);
+      return Status::OK();
+    }
+    case KeyKind::kPath: {
+      std::string_view s = TrimView(v);
+      *std::get<Field<std::string>>(k.field)(*c) =
+          (s == "off" || s == "none") ? std::string() : std::string(s);
+      return Status::OK();
+    }
+    case KeyKind::kEnum: {
+      const EnumField& e = std::get<EnumField>(k.field);
+      std::string_view s = TrimView(v);
+      for (int i = 0; e.name(i)[0] != '?'; ++i) {
+        if (s == e.name(i)) {
+          e.set(c, i);
+          return Status::OK();
+        }
+      }
+      return Status::InvalidArgument("unknown " + std::string(k.key) + " " + Quoted(v) +
+                                     " (expected " + EnumChoices(e) + ")");
+    }
+  }
+  return Status::Internal("unhandled key kind");
+}
+
+/// The row's current value in .scn spelling.
+std::string Format(const KeyDesc& k, const Cfg& config) {
+  Cfg& c = const_cast<Cfg&>(config);  // Accessors are only read through here.
+  switch (k.kind) {
+    case KeyKind::kInt:
+      return std::to_string(*std::get<Field<int>>(k.field)(c));
+    case KeyKind::kUint:
+      return std::to_string(*std::get<Field<uint64_t>>(k.field)(c));
+    case KeyKind::kDouble:
+      return FormatNumber(*std::get<Field<double>>(k.field)(c));
+    case KeyKind::kBool:
+      return *std::get<Field<bool>>(k.field)(c) ? "on" : "off";
+    case KeyKind::kMinutes:
+    case KeyKind::kSeconds:
+    case KeyKind::kMillis:
+      return FormatNumber(ToUnit(k.kind, *std::get<Field<SimTime>>(k.field)(c)));
+    case KeyKind::kPath: {
+      const std::string& path = *std::get<Field<std::string>>(k.field)(c);
+      return path.empty() ? "off" : path;
+    }
+    case KeyKind::kEnum: {
+      const EnumField& e = std::get<EnumField>(k.field);
+      return e.name(e.get(c));
+    }
+  }
+  return "";
+}
+
+/// What the key accepts in words, for usage text.
+std::string AcceptsText(const KeyDesc& k) {
+  switch (k.kind) {
+    case KeyKind::kInt:
+      return "int " + RangeText(k);
+    case KeyKind::kUint:
+      return "uint64";
+    case KeyKind::kDouble:
+      return "number " + RangeText(k);
+    case KeyKind::kBool:
+      return "on|off";
+    case KeyKind::kMinutes:
+    case KeyKind::kSeconds:
+    case KeyKind::kMillis:
+      return std::string(UnitWord(k.kind)) + (k.allow_zero ? " >= 0" : " > 0");
+    case KeyKind::kPath:
+      return "path|off";
+    case KeyKind::kEnum:
+      return EnumChoices(std::get<EnumField>(k.field));
+  }
+  return "";
 }
 
 /// Expands a sweep value list: comma-separated tokens, where a lone
@@ -846,15 +560,23 @@ Status ValidateConfig(const harness::ExperimentConfig& config) {
 
 Status ApplyScenarioKey(harness::ExperimentConfig* config, std::string_view key,
                         std::string_view value) {
-  const KeyInfo* info = FindKey(key);
-  if (info == nullptr) return Status::NotFound("unknown key " + Quoted(key));
-  return info->apply(config, value);
+  const KeyDesc* desc = FindKey(key);
+  if (desc == nullptr) return Status::NotFound("unknown key " + Quoted(key));
+  return Apply(*desc, config, value);
 }
 
 std::vector<std::string> ScenarioKeyNames() {
   std::vector<std::string> names;
-  for (const KeyInfo& info : kKeys) names.emplace_back(info.key);
+  for (const KeyDesc& desc : kKeys) names.emplace_back(desc.key);
   return names;
+}
+
+std::vector<KeySpec> ScenarioKeySpecs() {
+  std::vector<KeySpec> specs;
+  for (const KeyDesc& desc : kKeys) {
+    specs.push_back({desc.key, desc.kind, desc.lo, desc.hi, desc.allow_zero, AcceptsText(desc)});
+  }
+  return specs;
 }
 
 Result<Scenario> ParseScenario(std::string_view text, std::string_view origin) {
@@ -913,8 +635,8 @@ Result<Scenario> ParseScenario(std::string_view text, std::string_view origin) {
     }
     if (key.substr(0, 6) == "sweep.") {
       std::string_view axis_key = key.substr(6);
-      const KeyInfo* info = FindKey(axis_key);
-      if (info == nullptr) {
+      const KeyDesc* desc = FindKey(axis_key);
+      if (desc == nullptr) {
         return Status::InvalidArgument(Position(origin, line_no, key_col) +
                                        "unknown sweep key " + Quoted(axis_key));
       }
@@ -928,7 +650,7 @@ Result<Scenario> ParseScenario(std::string_view text, std::string_view origin) {
       // time instead of mid-campaign.
       ExperimentConfig scratch = scenario.base;
       for (const std::string& v : values.value()) {
-        Status s = info->apply(&scratch, v);
+        Status s = Apply(*desc, &scratch, v);
         if (!s.ok()) {
           return Status::InvalidArgument(Position(origin, line_no, value_col) + "sweep " +
                                          Quoted(axis_key) + ": " + s.message());
@@ -938,12 +660,12 @@ Result<Scenario> ParseScenario(std::string_view text, std::string_view origin) {
       continue;
     }
 
-    const KeyInfo* info = FindKey(key);
-    if (info == nullptr) {
+    const KeyDesc* desc = FindKey(key);
+    if (desc == nullptr) {
       return Status::InvalidArgument(Position(origin, line_no, key_col) + "unknown key " +
                                      Quoted(key));
     }
-    Status s = info->apply(&scenario.base, value);
+    Status s = Apply(*desc, &scenario.base, value);
     if (!s.ok()) {
       return Status::InvalidArgument(Position(origin, line_no, value_col) + s.message());
     }
@@ -979,8 +701,8 @@ std::string FormatScenario(const Scenario& scenario) {
     std::string description = sanitize(scenario.description);
     if (!description.empty()) out += "description = " + description + "\n";
   }
-  for (const KeyInfo& info : kKeys) {
-    out += std::string(info.key) + " = " + info.format(scenario.base) + "\n";
+  for (const KeyDesc& desc : kKeys) {
+    out += std::string(desc.key) + " = " + Format(desc, scenario.base) + "\n";
   }
   for (const SweepAxis& axis : scenario.sweeps) {
     out += "sweep." + axis.key + " = ";

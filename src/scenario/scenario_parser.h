@@ -30,9 +30,10 @@ namespace scoop::scenario {
 /// duplicate keys, malformed values, and out-of-range settings.
 Result<Scenario> ParseScenario(std::string_view text, std::string_view origin = "<string>");
 
-/// Applies one scenario key to a config ("nodes" = "63"). This is the same
-/// setter table the parser uses, exposed so the campaign runner can apply
-/// sweep-axis values; errors carry no position prefix.
+/// Applies one scenario key to a config (`nodes = 63`). This is the same
+/// key table the parser uses, exposed so the campaign runner can apply
+/// sweep-axis values and the CLIs their `--<key>=<value>` flags; errors
+/// carry no position prefix.
 Status ApplyScenarioKey(harness::ExperimentConfig* config, std::string_view key,
                         std::string_view value);
 
@@ -44,6 +45,28 @@ Status ValidateConfig(const harness::ExperimentConfig& config);
 
 /// All recognized config keys, in canonical (writer) order.
 std::vector<std::string> ScenarioKeyNames();
+
+/// How a key's value is spelled. Durations are decimal numbers in the
+/// named unit; kPath values are file paths, with "off" (or "none") for
+/// disabled because a .scn value cannot be empty.
+enum class KeyKind { kInt, kUint, kDouble, kBool, kMinutes, kSeconds, kMillis, kPath, kEnum };
+
+/// One row of the key table, as usage text and table-driven tests see it.
+struct KeySpec {
+  std::string name;
+  KeyKind kind = KeyKind::kInt;
+  /// Numeric kinds: the inclusive range. Durations run from 0 (accepted
+  /// only when `allow_zero`) to ten years in the key's unit.
+  double lo = 0;
+  double hi = 0;
+  bool allow_zero = false;
+  /// The accepted values in words, e.g. "int in [2, 65534]", "minutes > 0"
+  /// or "scoop|local|base|hash|hash-sim".
+  std::string accepts;
+};
+
+/// Every key's spec, in ScenarioKeyNames() order.
+std::vector<KeySpec> ScenarioKeySpecs();
 
 /// Serializes a scenario back to .scn text emitting every config key, such
 /// that ParseScenario(FormatScenario(s)) reproduces `s` exactly. The one

@@ -344,7 +344,7 @@ const char* PartitionKindName(PartitionKind kind) {
     case PartitionKind::kMincut:
       return "mincut";
   }
-  return "unknown";
+  return "?";
 }
 
 std::vector<int> PartitionNodes(const Topology& topology, int shards,

@@ -91,8 +91,8 @@ scenario::Scenario SmallFailureWaves() {
        {std::pair<const char*, const char*>{"nodes", "16"},
         {"duration_minutes", "10"},
         {"stabilization_minutes", "2"},
-        {"failure_minute", "4"},
-        {"failure_wave_interval_minutes", "1"}}) {
+        {"fault.crash_minute", "4"},
+        {"fault.crash_wave_interval_minutes", "1"}}) {
     Status s = scenario::ApplyScenarioKey(&scn.base, key, value);
     SCOOP_CHECK(s.ok());
   }

@@ -10,8 +10,8 @@ TEST(SimProfilerTest, AttributesElapsedTimeToCurrentBucket) {
   // Time between construction and the first Switch lands in kOther.
   EXPECT_EQ(prof.Switch(SimProfiler::kQueue), SimProfiler::kOther);
   // Spin a little so kQueue accrues a measurable interval.
-  volatile int sink = 0;
-  for (int i = 0; i < 100000; ++i) sink = sink + i;
+  volatile unsigned sink = 0;  // Unsigned: the sum wraps instead of overflowing.
+  for (unsigned i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_EQ(prof.Switch(SimProfiler::kRadio), SimProfiler::kQueue);
   prof.Stop();
   EXPECT_GT(prof.Seconds(SimProfiler::kQueue), 0.0);
@@ -39,8 +39,8 @@ TEST(SimProfilerTest, MergeFromSumsBuckets) {
   SimProfiler a;
   SimProfiler b;
   b.Switch(SimProfiler::kShardSync);
-  volatile int sink = 0;
-  for (int i = 0; i < 100000; ++i) sink = sink + i;
+  volatile unsigned sink = 0;  // Unsigned: the sum wraps instead of overflowing.
+  for (unsigned i = 0; i < 100000; ++i) sink = sink + i;
   b.Stop();
   double before = a.Seconds(SimProfiler::kShardSync);
   a.MergeFrom(b);

@@ -78,12 +78,6 @@ TEST(ScenarioParserTest, RoundTripEveryKey) {
       {"shards", "4"},
       {"queue", "heap"},
       {"partition", "mincut"},
-      {"failure_fraction", "0.25"},
-      {"failure_minute", "12.5"},
-      {"failure_wave_count", "3"},
-      {"failure_wave_interval_minutes", "2.5"},
-      // The fault.crash_* aliases target the same fields as the legacy
-      // failure_* keys above, so they must carry the same values here.
       {"fault.crash_fraction", "0.25"},
       {"fault.crash_minute", "12.5"},
       {"fault.crash_wave_count", "3"},
@@ -290,33 +284,6 @@ TEST(ScenarioParserTest, CrossFieldChecks) {
   EXPECT_NE(err.find("domain_lo must be <= domain_hi"), std::string::npos) << err;
 }
 
-// The fault.crash_* keys are spellings of the legacy failure_* knobs:
-// either name reads and writes the same ExperimentConfig fields, so old
-// scenarios and new ones configure identical crash-stop waves.
-TEST(ScenarioParserTest, FaultCrashKeysAliasLegacyFailureKeys) {
-  Scenario legacy = MustParse(
-      "name = legacy\n"
-      "failure_fraction = 0.3\n"
-      "failure_minute = 18\n"
-      "failure_wave_count = 4\n"
-      "failure_wave_interval_minutes = 2\n");
-  Scenario aliased = MustParse(
-      "name = aliased\n"
-      "fault.crash_fraction = 0.3\n"
-      "fault.crash_minute = 18\n"
-      "fault.crash_wave_count = 4\n"
-      "fault.crash_wave_interval_minutes = 2\n");
-  EXPECT_DOUBLE_EQ(aliased.base.node_failure_fraction, legacy.base.node_failure_fraction);
-  EXPECT_EQ(aliased.base.failure_time, legacy.base.failure_time);
-  EXPECT_EQ(aliased.base.failure_wave_count, legacy.base.failure_wave_count);
-  EXPECT_EQ(aliased.base.failure_wave_interval, legacy.base.failure_wave_interval);
-  // The writer emits both spellings from the shared fields, so formatting
-  // either scenario shows the same values under both names.
-  std::string text = FormatScenario(aliased);
-  EXPECT_NE(text.find("failure_fraction = 0.3"), std::string::npos) << text;
-  EXPECT_NE(text.find("fault.crash_fraction = 0.3"), std::string::npos) << text;
-}
-
 TEST(ScenarioParserTest, FaultKeyDiagnosticsCarryPositions) {
   std::string err = ErrorOf("name = t\nfault.frobnicate = 1\n");
   EXPECT_NE(err.find("test.scn:2:1"), std::string::npos) << err;
@@ -332,6 +299,66 @@ TEST(ScenarioParserTest, FaultKeyDiagnosticsCarryPositions) {
 
   err = ErrorOf("name = t\nfault.send_retry_backoff_ms = 0\n");
   EXPECT_NE(err.find("fault.send_retry_backoff_ms must be > 0"), std::string::npos) << err;
+}
+
+// Every range-checked key rejects a value just past either end of its
+// declared range, accepts both ends, and names itself in the message.
+// Durations additionally accept 0 exactly when the table allows it.
+TEST(ScenarioParserTest, EveryNumericKeyRejectsOutOfRangeValues) {
+  int checked = 0;
+  for (const KeySpec& spec : ScenarioKeySpecs()) {
+    bool duration = spec.kind == KeyKind::kMinutes || spec.kind == KeyKind::kSeconds ||
+                    spec.kind == KeyKind::kMillis;
+    if (spec.kind != KeyKind::kInt && spec.kind != KeyKind::kDouble && !duration) continue;
+    ++checked;
+    const std::string must_be = spec.name + " must be";
+    ExperimentConfig config;
+    for (double bad : {spec.hi + 1, spec.lo - 1}) {
+      Status s = ApplyScenarioKey(&config, spec.name, FormatShortestDouble(bad));
+      EXPECT_FALSE(s.ok()) << spec.name << " accepted " << bad;
+      EXPECT_NE(s.message().find(must_be), std::string::npos) << s.message();
+    }
+    EXPECT_TRUE(ApplyScenarioKey(&config, spec.name, FormatShortestDouble(spec.hi)).ok())
+        << spec.name;
+    if (duration) {
+      Status zero = ApplyScenarioKey(&config, spec.name, "0");
+      EXPECT_EQ(zero.ok(), spec.allow_zero) << spec.name << ": " << zero.ToString();
+      if (!spec.allow_zero) {
+        EXPECT_NE(zero.message().find(must_be + " > 0"), std::string::npos) << zero.message();
+      }
+    } else {
+      EXPECT_TRUE(ApplyScenarioKey(&config, spec.name, FormatShortestDouble(spec.lo)).ok())
+          << spec.name;
+    }
+  }
+  EXPECT_GT(checked, 60);
+  // seed's range is all of uint64: only values past 64 bits are rejected.
+  ExperimentConfig config;
+  EXPECT_NE(ApplyScenarioKey(&config, "seed", "18446744073709551616").message().find(
+                "does not fit in 64 bits"),
+            std::string::npos);
+}
+
+// Enum rows list their alternatives from the enum's own name function, so
+// usage text and diagnostics agree on the spelling.
+TEST(ScenarioParserTest, KeySpecsDescribeEveryKey) {
+  std::vector<KeySpec> specs = ScenarioKeySpecs();
+  ASSERT_EQ(specs.size(), ScenarioKeyNames().size());
+  for (size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(specs[i].name, ScenarioKeyNames()[i]);
+    EXPECT_FALSE(specs[i].accepts.empty()) << specs[i].name;
+  }
+  auto accepts = [&](const std::string& key) {
+    for (const KeySpec& spec : specs) {
+      if (spec.name == key) return spec.accepts;
+    }
+    return std::string();
+  };
+  EXPECT_EQ(accepts("policy"), "scoop|local|base|hash|hash-sim");
+  EXPECT_EQ(accepts("queue"), "wheel|heap");
+  EXPECT_EQ(accepts("nodes"), "int in [2, 65534]");
+  EXPECT_EQ(accepts("duration_minutes"), "minutes > 0");
+  EXPECT_EQ(accepts("obs.trace_out"), "path|off");
 }
 
 TEST(ScenarioParserTest, BaseBackupMustNameAnExistingNode) {

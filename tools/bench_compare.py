@@ -6,7 +6,7 @@ old/new items-per-second (falling back to inverse wall time when a bench
 reports no item counter) and the speedup ratio new/old; for the campaign
 probes, compares events-per-second. Sharded probes additionally get an
 informational shard.stall_us / shard.mirrored_frames sync-cost diff, and
-probes run with --profile a sim-profiler bucket diff (queue/radio/agent/
+probes run with --obs.profile=on a sim-profiler bucket diff (queue/radio/agent/
 shard-sync/other wall seconds) -- never part of the gate.
 
 Usage: tools/bench_compare.py OLD.json NEW.json [--min-ratio R] [--fail-below R]
@@ -52,7 +52,7 @@ def bench_rates(doc):
 def profile_buckets(doc):
     """Flattens profiled campaign probes into {section/bucket: seconds}.
 
-    Probes run with --profile carry a top-level "profile" object of
+    Probes run with --obs.profile=on carry a top-level "profile" object of
     wall-clock bucket totals (see CampaignPerfJson); unprofiled probes
     simply have no entry here.
     """

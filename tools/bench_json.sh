@@ -84,7 +84,7 @@ done
 # agent buckets; see the "MAC timer churn" ROADMAP hypothesis). A separate
 # section: the unprofiled probe above stays the clean throughput number,
 # and bench_compare.py diffs the buckets informationally.
-"${tools_dir}/scoop_campaign" --scenario=grid_1024 --threads=1 --profile \
+"${tools_dir}/scoop_campaign" --scenario=grid_1024 --threads=1 --obs.profile=on \
     --quiet --perf-json="${tmp}/campaign_grid_1024_profile.json"
 
 commit="$(git -C "${repo_root}" rev-parse --short HEAD 2>/dev/null || echo unknown)"

@@ -5,11 +5,13 @@
 //   scoop_campaign --print=fig3_middle            > mine.scn
 //   scoop_campaign --scenario=fig3_middle --threads=8
 //   scoop_campaign --file=mine.scn --csv=out.csv --json=out.jsonl
+//   scoop_campaign --scenario=grid_1024 --shards=4 --obs.profile=on
 //
 // Expands the scenario's sweep axes into a (combo x seed) grid, shards it
 // across worker threads, and prints the bench-style summary table; --csv
 // and --json additionally write machine-readable reports. Output is
-// byte-identical at any thread count.
+// byte-identical at any thread count. Every `--<scenario key>=<value>`
+// overrides that key on the scenario's base config.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -30,30 +32,28 @@
 namespace {
 
 using namespace scoop;
-using scoop::tools::MatchFlag;
+using tools::MatchFlag;
 
-[[noreturn]] void Usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s (--scenario=NAME | --file=PATH.scn)\n"
+void PrintUsage(std::FILE* out, const char* argv0) {
+  std::fprintf(out,
+               "usage: %s (--scenario=NAME | --file=PATH.scn) [--<key>=<value> ...]\n"
                "          [--threads=N]      worker threads (0 = all hardware threads)\n"
-               "          [--shards=K]       override the scenario's engine sharding\n"
-               "                             (1 = sequential, >=2 = K-way parallel, 0 = auto)\n"
-               "          [--queue=wheel|heap] override the scenario's event-queue impl\n"
-               "                             (results identical; wheel is the fast default)\n"
-               "          [--partition=strip|mincut] override the shard partitioner\n"
-               "                             (results identical; mincut cuts sync stalls)\n"
                "          [--csv=PATH]       write per-trial + mean rows as CSV\n"
                "          [--json=PATH]      write per-combo JSON-lines\n"
                "          [--perf-json=PATH] write wall-clock/events-per-second perf report\n"
-               "          [--trace-out=PATH] Chrome-trace JSON per (combo, trial)\n"
-               "          [--metrics-out=PATH] metrics JSONL per (combo, trial)\n"
-               "          [--metrics-interval=S] metrics sampling grid (sim seconds)\n"
-               "          [--profile]        attach the wall-clock sim profiler\n"
                "          [-v | -vv]         info / debug logging to stderr\n"
                "          [--quiet]          suppress the summary table\n"
                "       %s --list             list registered scenarios\n"
-               "       %s --print=NAME      dump a registered scenario's .scn text\n",
+               "       %s --print=NAME      dump a registered scenario's .scn text\n"
+               "\n"
+               "Every scenario key is a flag that overrides the scenario's base\n"
+               "config (sweep axes still vary their own key):\n",
                argv0, argv0, argv0);
+  tools::PrintKeyFlags(out);
+}
+
+[[noreturn]] void Usage(const char* argv0) {
+  PrintUsage(stderr, argv0);
   std::exit(2);
 }
 
@@ -88,20 +88,20 @@ int main(int argc, char** argv) {
   std::string json_path;
   std::string perf_json_path;
   int threads = 0;
-  std::string shards_override;
-  std::string queue_override;
-  std::string partition_override;
   bool quiet = false;
   int verbosity = 0;
-  // (key, value) pairs applied to the scenario's base config after parsing,
-  // through the same table the .scn obs.* keys use.
-  std::vector<std::pair<std::string, std::string>> obs_overrides;
+  // `--<key>=<value>` flags, applied to the scenario's base config once it
+  // is loaded.
+  std::vector<const char*> key_flags;
 
   for (int i = 1; i < argc; ++i) {
     const char* value = nullptr;
     const char* arg = argv[i];
     if (MatchFlag(arg, "--list", &value)) {
       return ListScenarios();
+    } else if (MatchFlag(arg, "--help", &value)) {
+      PrintUsage(stdout, argv[0]);
+      return 0;
     } else if (MatchFlag(arg, "--print", &value) && value != nullptr) {
       const char* spec = scenario::FindRegisteredSpec(value);
       if (spec == nullptr) {
@@ -122,32 +122,20 @@ int main(int argc, char** argv) {
         Usage(argv[0]);
       }
       threads = static_cast<int>(parsed);
-    } else if (MatchFlag(arg, "--shards", &value) && value != nullptr) {
-      shards_override = value;
-    } else if (MatchFlag(arg, "--queue", &value) && value != nullptr) {
-      queue_override = value;
-    } else if (MatchFlag(arg, "--partition", &value) && value != nullptr) {
-      partition_override = value;
     } else if (MatchFlag(arg, "--csv", &value) && value != nullptr) {
       csv_path = value;
     } else if (MatchFlag(arg, "--json", &value) && value != nullptr) {
       json_path = value;
     } else if (MatchFlag(arg, "--perf-json", &value) && value != nullptr) {
       perf_json_path = value;
-    } else if (MatchFlag(arg, "--trace-out", &value) && value != nullptr) {
-      obs_overrides.emplace_back("obs.trace_out", value);
-    } else if (MatchFlag(arg, "--metrics-out", &value) && value != nullptr) {
-      obs_overrides.emplace_back("obs.metrics_out", value);
-    } else if (MatchFlag(arg, "--metrics-interval", &value) && value != nullptr) {
-      obs_overrides.emplace_back("obs.metrics_interval_seconds", value);
-    } else if (MatchFlag(arg, "--profile", &value)) {
-      obs_overrides.emplace_back("obs.profile", "true");
     } else if (std::strcmp(arg, "-v") == 0) {
       verbosity = 1;
     } else if (std::strcmp(arg, "-vv") == 0) {
       verbosity = 2;
     } else if (MatchFlag(arg, "--quiet", &value)) {
       quiet = true;
+    } else if (std::strncmp(arg, "--", 2) == 0) {
+      key_flags.push_back(arg);
     } else {
       Usage(argv[0]);
     }
@@ -168,32 +156,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   scenario::Scenario scn = std::move(parsed).value();
-  if (!shards_override.empty()) {
-    Status s = scenario::ApplyScenarioKey(&scn.base, "shards", shards_override);
-    if (!s.ok()) {
-      std::fprintf(stderr, "bad --shards value: %s\n", s.message().c_str());
-      Usage(argv[0]);
-    }
-  }
-  if (!queue_override.empty()) {
-    Status s = scenario::ApplyScenarioKey(&scn.base, "queue", queue_override);
-    if (!s.ok()) {
-      std::fprintf(stderr, "bad --queue value: %s\n", s.message().c_str());
-      Usage(argv[0]);
-    }
-  }
-  if (!partition_override.empty()) {
-    Status s = scenario::ApplyScenarioKey(&scn.base, "partition", partition_override);
-    if (!s.ok()) {
-      std::fprintf(stderr, "bad --partition value: %s\n", s.message().c_str());
-      Usage(argv[0]);
-    }
-  }
-  for (const auto& [key, value] : obs_overrides) {
-    Status s = scenario::ApplyScenarioKey(&scn.base, key, value);
-    if (!s.ok()) {
-      std::fprintf(stderr, "bad --%s value: %s\n", key.c_str(), s.message().c_str());
-      Usage(argv[0]);
+  for (const char* flag : key_flags) {
+    if (!tools::ApplyKeyFlag(&scn.base, flag)) {
+      std::fprintf(stderr, "run '%s --help' for the key list\n", argv[0]);
+      return 2;
     }
   }
 

@@ -1,22 +1,13 @@
 // scoop_sim: command-line experiment runner.
 //
-//   scoop_sim [--policy=scoop|local|base|hash|hash-sim]
-//             [--source=real|unique|equal|random|gaussian]
-//             [--nodes=N] [--minutes=M] [--stabilization-minutes=M]
-//             [--sample-interval=S] [--summary-interval=S] [--remap-interval=S]
-//             [--query-interval=S] [--query-mode=range|node-list]
-//             [--query-width-lo=F] [--query-width-hi=F]
-//             [--node-list-fraction=F] [--history-window-seconds=S]
-//             [--topology=testbed|random|grid] [--trials=K] [--seed=S]
-//             [--batch=N] [--no-shortcut] [--no-descendants]
-//             [--owner-set=K] [--range-granularity=G]
-//             [--failure-fraction=F] [--failure-minute=M]
-//             [--trace-out=PATH] [--metrics-out=PATH] [--metrics-interval=S]
-//             [--profile] [-v|-vv]
+//   scoop_sim [--<key>=<value> ...] [-v|-vv]
+//   scoop_sim --help
 //
-// Prints the message breakdown and success metrics for the configured run.
+// Every scenario key is a flag (`--nodes=63 --duration_minutes=40
+// --topology=testbed`), applied through the same table as .scn files and
+// checked by the same cross-field rules. Prints the message breakdown and
+// success metrics for the configured run.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -31,46 +22,15 @@ namespace {
 
 using namespace scoop;
 
-[[noreturn]] void Usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--policy=scoop|local|base|hash|hash-sim]\n"
-               "          [--source=real|unique|equal|random|gaussian]\n"
-               "          [--nodes=N] [--minutes=M] [--stabilization-minutes=M]\n"
-               "          [--sample-interval=S] [--summary-interval=S] [--remap-interval=S]\n"
-               "          [--query-interval=S] [--query-mode=range|node-list]\n"
-               "          [--query-width-lo=F] [--query-width-hi=F]\n"
-               "          [--node-list-fraction=F] [--history-window-seconds=S]\n"
-               "          [--topology=testbed|random|grid] [--trials=K] [--seed=S]\n"
-               "          [--shards=K]  1 = sequential engine, >=2 = K-way sharded\n"
-               "                        parallel engine, 0 = one shard per core\n"
-               "          [--queue=wheel|heap]  event queue impl (default wheel;\n"
-               "                        results are identical, wheel is faster)\n"
-               "          [--partition=strip|mincut]  shard partitioner (default strip;\n"
-               "                        results are identical, mincut stalls less)\n"
-               "          [--batch=N] [--no-shortcut] [--no-descendants]\n"
-               "          [--owner-set=K] [--range-granularity=G]\n"
-               "          [--failure-fraction=F] [--failure-minute=M]\n"
-               "          [--trace-out=PATH]    write a Chrome-trace JSON per trial\n"
-               "          [--metrics-out=PATH]  write sampled metrics JSONL per trial\n"
-               "          [--metrics-interval=S] metrics sampling grid (sim seconds)\n"
-               "          [--profile]           attach the wall-clock sim profiler\n"
-               "          [-v | -vv]            info / debug logging to stderr\n",
-               argv0);
-  std::exit(2);
-}
-
-using scoop::tools::MatchFlag;
-
-/// Routes the enum-valued flags through the scenario key table, so the CLI
-/// and .scn files share one name-to-enum mapping (and one rejection path
-/// for unknown values).
-void ApplyKeyOrUsage(harness::ExperimentConfig* config, const char* key, const char* value,
-                     const char* argv0) {
-  scoop::Status s = scenario::ApplyScenarioKey(config, key, value);
-  if (!s.ok()) {
-    std::fprintf(stderr, "%s\n", s.message().c_str());
-    Usage(argv0);
-  }
+void PrintUsage(std::FILE* out, const char* argv0) {
+  std::fprintf(out,
+               "usage: %s [--<key>=<value> ...] [-v | -vv]\n"
+               "       %s --help\n"
+               "\n"
+               "Runs one experiment. -v / -vv log info / debug to stderr. Every\n"
+               "scenario key is a flag; unset keys keep the paper's defaults:\n",
+               argv0, argv0);
+  tools::PrintKeyFlags(out);
 }
 
 }  // namespace
@@ -79,77 +39,23 @@ int main(int argc, char** argv) {
   harness::ExperimentConfig config;
   int verbosity = 0;
   for (int i = 1; i < argc; ++i) {
-    const char* value = nullptr;
     const char* arg = argv[i];
-    if (MatchFlag(arg, "--policy", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "policy", value, argv[0]);
-    } else if (MatchFlag(arg, "--source", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "source", value, argv[0]);
-    } else if (MatchFlag(arg, "--nodes", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "nodes", value, argv[0]);
-    } else if (MatchFlag(arg, "--shards", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "shards", value, argv[0]);
-    } else if (MatchFlag(arg, "--queue", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "queue", value, argv[0]);
-    } else if (MatchFlag(arg, "--partition", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "partition", value, argv[0]);
-    } else if (MatchFlag(arg, "--minutes", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "duration_minutes", value, argv[0]);
-    } else if (MatchFlag(arg, "--stabilization-minutes", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "stabilization_minutes", value, argv[0]);
-    } else if (MatchFlag(arg, "--sample-interval", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "sample_interval_seconds", value, argv[0]);
-    } else if (MatchFlag(arg, "--summary-interval", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "summary_interval_seconds", value, argv[0]);
-    } else if (MatchFlag(arg, "--remap-interval", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "remap_interval_seconds", value, argv[0]);
-    } else if (MatchFlag(arg, "--query-interval", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "query_interval_seconds", value, argv[0]);
-    } else if (MatchFlag(arg, "--query-mode", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "query_mode", value, argv[0]);
-    } else if (MatchFlag(arg, "--query-width-lo", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "query_width_lo", value, argv[0]);
-    } else if (MatchFlag(arg, "--query-width-hi", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "query_width_hi", value, argv[0]);
-    } else if (MatchFlag(arg, "--node-list-fraction", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "node_list_fraction", value, argv[0]);
-    } else if (MatchFlag(arg, "--history-window-seconds", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "history_window_seconds", value, argv[0]);
-    } else if (MatchFlag(arg, "--topology", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "topology", value, argv[0]);
-    } else if (MatchFlag(arg, "--trials", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "trials", value, argv[0]);
-    } else if (MatchFlag(arg, "--seed", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "seed", value, argv[0]);
-    } else if (MatchFlag(arg, "--batch", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "max_batch", value, argv[0]);
-    } else if (MatchFlag(arg, "--no-shortcut", &value)) {
-      config.enable_neighbor_shortcut = false;
-    } else if (MatchFlag(arg, "--no-descendants", &value)) {
-      config.enable_descendant_routing = false;
-    } else if (MatchFlag(arg, "--owner-set", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "owner_set", value, argv[0]);
-    } else if (MatchFlag(arg, "--range-granularity", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "range_granularity", value, argv[0]);
-    } else if (MatchFlag(arg, "--failure-fraction", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "failure_fraction", value, argv[0]);
-    } else if (MatchFlag(arg, "--failure-minute", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "failure_minute", value, argv[0]);
-    } else if (MatchFlag(arg, "--trace-out", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "obs.trace_out", value, argv[0]);
-    } else if (MatchFlag(arg, "--metrics-out", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "obs.metrics_out", value, argv[0]);
-    } else if (MatchFlag(arg, "--metrics-interval", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "obs.metrics_interval_seconds", value, argv[0]);
-    } else if (MatchFlag(arg, "--profile", &value)) {
-      config.profile = true;
-    } else if (std::strcmp(arg, "-v") == 0) {
+    if (std::strcmp(arg, "-v") == 0) {
       verbosity = 1;
     } else if (std::strcmp(arg, "-vv") == 0) {
       verbosity = 2;
-    } else {
-      Usage(argv[0]);
+    } else if (std::strcmp(arg, "--help") == 0) {
+      PrintUsage(stdout, argv[0]);
+      return 0;
+    } else if (!tools::ApplyKeyFlag(&config, arg)) {
+      std::fprintf(stderr, "run '%s --help' for the key list\n", argv[0]);
+      return 2;
     }
+  }
+  Status valid = scenario::ValidateConfig(config);
+  if (!valid.ok()) {
+    std::fprintf(stderr, "error: %s\n", valid.message().c_str());
+    return 2;
   }
   SetLogLevel(LogLevelForVerbosity(verbosity));
 

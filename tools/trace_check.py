@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validates a Chrome trace-event JSON written by --trace-out.
+"""Validates a Chrome trace-event JSON written by --obs.trace_out.
 
 Checks (stdlib only, no Perfetto needed in CI):
   - the file parses as JSON with a "traceEvents" list
@@ -111,7 +111,7 @@ def check_nesting(events):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("trace", help="Chrome trace-event JSON (--trace-out output)")
+    parser.add_argument("trace", help="Chrome trace-event JSON (--obs.trace_out output)")
     parser.add_argument("--require-cat", nargs="+", default=[], metavar="CAT",
                         help="categories that must each appear at least once")
     parser.add_argument("--max-errors", type=int, default=20,
