@@ -1,10 +1,10 @@
 // Microbenchmarks of the discrete-event queue hot path: steady-state
 // schedule/run churn, the schedule/cancel/run mix that Trickle timers and
 // radio timeouts generate, a cancel-heavy soak that exercises heap
-// compaction, and MAC-backoff churn comparing the two-tier wheel+heap
-// queue against the heap-only fallback. The seed queue's ratios (std::
-// function callbacks, an unordered_map per event, no compaction) are kept
-// in BENCH_radio.json's history rather than as an in-binary copy.
+// compaction, and MAC-backoff churn, the near-future timer load the
+// two-tier wheel+heap queue is built for. The seed queue's and the
+// heap-only mode's ratios are kept in BENCH_radio.json's history rather
+// than as in-binary copies.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -26,14 +26,8 @@ struct DelayGen {
   }
 };
 
-// EventQueue pinned to one tier configuration, so the two-tier wheel+heap
-// default and the heap-only fallback run side by side in one binary.
-struct WheelEventQueue : sim::EventQueue {
-  WheelEventQueue() : sim::EventQueue(sim::QueueImpl::kWheel) {}
-};
-struct HeapOnlyEventQueue : sim::EventQueue {
-  HeapOnlyEventQueue() : sim::EventQueue(sim::QueueImpl::kHeap) {}
-};
+// The MAC-backoff bench keeps its BENCH_radio.json name.
+using WheelEventQueue = sim::EventQueue;
 
 // ---------------------------------------------------------------------------
 // Steady-state churn: a window of pending events; each iteration runs the
@@ -172,7 +166,6 @@ void BM_MacBackoffChurn(benchmark::State& state) {
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_TEMPLATE(BM_MacBackoffChurn, HeapOnlyEventQueue)->Arg(128)->Arg(1024)->Arg(8192);
 BENCHMARK_TEMPLATE(BM_MacBackoffChurn, WheelEventQueue)->Arg(128)->Arg(1024)->Arg(8192);
 
 }  // namespace

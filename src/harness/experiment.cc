@@ -168,7 +168,7 @@ BaseHandle InstallAgentsGeneric(const ExperimentConfig& config, SetApp set_app,
       return InstallPolicy<core::HashBaseAgent, core::HashNodeAgent>(
           config, set_app, telemetry_for, trace_for, source);
     case Policy::kHashAnalytical:
-      SCOOP_CHECK(false);  // Handled by HashAnalysisAsResult, not simulation.
+      SCOOP_CHECK(false);  // Handled by RunHashAnalysis, not simulation.
   }
   return {};
 }
@@ -536,7 +536,6 @@ ExperimentResult RunTrial(const ExperimentConfig& config, uint64_t seed) {
   sim::Topology topology = MakeTopology(config, seed);
   sim::NetworkOptions net_opts;
   net_opts.seed = seed;
-  net_opts.queue_impl = config.queue;
   sim::Network network(topology, net_opts);
   ScopedLogClock log_clock(
       [](const void* ctx) { return static_cast<const sim::Network*>(ctx)->now(); },
@@ -692,7 +691,6 @@ ExperimentResult RunShardedTrial(const ExperimentConfig& config, uint64_t seed, 
   sim::ShardedEngineOptions opts;
   opts.seed = seed;
   opts.shards = shards;
-  opts.queue_impl = config.queue;
   opts.partition = config.partition;
   sim::ShardedEngine engine(MakeTopology(config, seed), opts);
   const int k = engine.num_shards();
@@ -1049,11 +1047,6 @@ core::HashModelResult RunHashAnalysis(const ExperimentConfig& config, uint64_t s
       static_cast<double>(domain_size);
   inputs.active_duration = config.duration - config.stabilization;
   return core::EvaluateHashModel(inputs);
-}
-
-ExperimentResult HashAnalysisAsResult(const ExperimentConfig& config) {
-  SCOOP_CHECK(config.policy == Policy::kHashAnalytical);
-  return RunExperiment(config);
 }
 
 }  // namespace scoop::harness

@@ -97,13 +97,6 @@ struct ExperimentConfig {
   /// than the sequential engine, so 1 and 2 differ numerically.
   int shards = 1;
 
-  /// Event-queue implementation for both engines (sim/event_queue.h).
-  /// kWheel (default) fronts the heap with a hierarchical timer wheel;
-  /// kHeap is heap-only. Execution order -- and therefore every metric,
-  /// CSV, and golden -- is identical; the knob exists for differential
-  /// testing and benchmarking.
-  sim::QueueImpl queue = sim::QueueImpl::kWheel;
-
   /// How sharded trials split the topology (sim/partition.h): contiguous
   /// coordinate strips or min-cut regions on the audible graph. Results
   /// are identical for both kinds (and ignored by the sequential engine);
@@ -300,10 +293,6 @@ std::string ExpandObsPath(const std::string& path, const std::string& suffix);
 /// Evaluates the paper's analytical HASH model for this workload over the
 /// same topology the simulation would use.
 core::HashModelResult RunHashAnalysis(const ExperimentConfig& config, uint64_t seed);
-
-/// Converts the analytical HASH numbers into an ExperimentResult row so
-/// benches can print all policies uniformly.
-ExperimentResult HashAnalysisAsResult(const ExperimentConfig& config);
 
 }  // namespace scoop::harness
 

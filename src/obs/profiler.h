@@ -1,9 +1,9 @@
 // Sim profiler: wall-clock attribution of engine time to subsystem
 // buckets (event-queue bookkeeping, radio walks, agent callbacks, shard
-// synchronization). Surfaced through `--perf-json` so the bench
-// trajectory can prove -- rather than assert -- where a run's wall time
-// goes (e.g. the ROADMAP's "1024-node profile is MAC timer churn"
-// hypothesis gating the timer-wheel PR).
+// synchronization). Surfaced as the ExperimentResult profile_* fields,
+// which perfbench's traced run reports as per-layer busy times, so a
+// benchmark can prove -- rather than assert -- where a run's wall time
+// goes.
 //
 // Implementation: a single running steady_clock stopwatch whose elapsed
 // time is attributed to the *current* bucket at every Switch(). One clock

@@ -51,7 +51,7 @@ struct CampaignResult {
   int threads_used = 1;
   /// Host wall-clock the whole grid took (all workers, start to join).
   /// Perf telemetry only -- never rendered into the deterministic CSV/JSON
-  /// reports; CampaignPerfJson carries it instead.
+  /// reports; the scoop_campaign summary line prints it.
   double wall_seconds = 0;
 };
 

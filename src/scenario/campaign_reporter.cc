@@ -8,7 +8,6 @@
 #include "harness/report.h"
 #include "net/wire.h"
 #include "scenario/scenario_parser.h"
-#include "sim/partition.h"
 
 namespace scoop::scenario {
 
@@ -213,152 +212,6 @@ std::string CampaignJsonLines(const CampaignResult& result) {
     }
     out += "]}\n";
   }
-  return out;
-}
-
-std::string CampaignPerfJson(const CampaignResult& result) {
-  // The profiler buckets, as (json key, accessor) pairs shared by the
-  // top-level totals and the per-row means. Emitted only when some trial
-  // actually profiled (the obs.profile key), so unprofiled perf
-  // reports keep their old shape.
-  struct Bucket {
-    const char* key;
-    double (*get)(const harness::ExperimentResult&);
-  };
-  static constexpr Bucket kBuckets[] = {
-      {"profile_queue_seconds",
-       [](const harness::ExperimentResult& r) { return r.profile_queue_seconds; }},
-      {"profile_radio_seconds",
-       [](const harness::ExperimentResult& r) { return r.profile_radio_seconds; }},
-      {"profile_agent_seconds",
-       [](const harness::ExperimentResult& r) { return r.profile_agent_seconds; }},
-      {"profile_shard_sync_seconds",
-       [](const harness::ExperimentResult& r) { return r.profile_shard_sync_seconds; }},
-      {"profile_other_seconds",
-       [](const harness::ExperimentResult& r) { return r.profile_other_seconds; }},
-  };
-  double total_events = 0;
-  double total_wall = 0;
-  double total_absorbed = 0;
-  double total_spilled = 0;
-  double total_stall_us = 0;
-  double total_stall_episodes = 0;
-  double total_mirrored = 0;
-  double bucket_totals[std::size(kBuckets)] = {};
-  bool profiled = false;
-  // The resolved shard count / partitioner, when they agree across every row
-  // (the common case: one campaign = one sharding configuration). Mixed
-  // campaigns keep the per-row values only.
-  bool shards_uniform = !result.rows.empty();
-  bool partition_uniform = !result.rows.empty();
-  int uniform_shards = 0;
-  sim::PartitionKind uniform_partition = sim::PartitionKind::kStrip;
-  for (const CampaignRow& row : result.rows) {
-    const int row_shards = static_cast<int>(row.mean.resolved_shards);
-    if (uniform_shards == 0) {
-      uniform_shards = row_shards;
-      uniform_partition = row.config.partition;
-    }
-    if (row_shards != uniform_shards) shards_uniform = false;
-    if (row.config.partition != uniform_partition) partition_uniform = false;
-    for (const harness::ExperimentResult& trial : row.trials) {
-      total_events += trial.sim_events;
-      total_wall += trial.wall_seconds;
-      total_absorbed += trial.queue_wheel_absorbed;
-      total_spilled += trial.queue_wheel_spilled;
-      total_stall_us += trial.shard_stall_us;
-      total_stall_episodes += trial.shard_stall_episodes;
-      total_mirrored += trial.shard_mirrored_frames;
-      for (size_t b = 0; b < std::size(kBuckets); ++b) {
-        double v = kBuckets[b].get(trial);
-        bucket_totals[b] += v;
-        if (v > 0) profiled = true;
-      }
-    }
-  }
-  const double total_scheduled = total_absorbed + total_spilled;
-  std::string out = "{\"scenario\":" + JsonString(result.scenario_name);
-  out += ",\"threads\":" + std::to_string(result.threads_used);
-  out += ",\"wall_seconds\":" + FormatJsonMetric(result.wall_seconds);
-  out += ",\"trial_wall_seconds_total\":" + FormatJsonMetric(total_wall);
-  out += ",\"sim_events_total\":" + FormatJsonMetric(total_events);
-  out += ",\"events_per_second\":" +
-         FormatJsonMetric(total_wall > 0 ? total_events / total_wall : 0.0);
-  // Timer-wheel tier split (sim/event_queue.h): the fraction of schedules
-  // the wheel absorbed without touching the heap. Heap-only runs report 0.
-  out += ",\"queue\":{\"wheel_absorbed\":" + FormatJsonMetric(total_absorbed);
-  out += ",\"wheel_spilled\":" + FormatJsonMetric(total_spilled);
-  out += ",\"wheel_absorb_rate\":" +
-         FormatJsonMetric(total_scheduled > 0 ? total_absorbed / total_scheduled : 0.0);
-  out += "}";
-  // Sharded-engine sync costs, summed across trials. stall_us/stall_episodes
-  // are wall-clock (nondeterministic); mirrored_frames is deterministic for a
-  // fixed (config, shards, partition). All zero for sequential campaigns.
-  if (shards_uniform) out += ",\"shards\":" + std::to_string(uniform_shards);
-  if (partition_uniform) {
-    out += ",\"partition\":" + JsonString(sim::PartitionKindName(uniform_partition));
-  }
-  out += ",\"shard\":{\"stall_us\":" + FormatJsonMetric(total_stall_us);
-  out += ",\"stall_episodes\":" + FormatJsonMetric(total_stall_episodes);
-  out += ",\"mirrored_frames\":" + FormatJsonMetric(total_mirrored);
-  out += "}";
-  if (profiled) {
-    out += ",\"profile\":{";
-    for (size_t b = 0; b < std::size(kBuckets); ++b) {
-      if (b > 0) out += ",";
-      out += JsonString(kBuckets[b].key);
-      out += ":";
-      out += FormatJsonMetric(bucket_totals[b]);
-    }
-    out += "}";
-  }
-  out += ",\"rows\":[";
-  for (size_t i = 0; i < result.rows.size(); ++i) {
-    const CampaignRow& row = result.rows[i];
-    if (i > 0) out += ",";
-    out += "{\"axes\":{";
-    for (size_t a = 0; a < row.axes.size(); ++a) {
-      if (a > 0) out += ",";
-      out += JsonString(row.axes[a].first) + ":" + JsonString(row.axes[a].second);
-    }
-    out += "},\"wall_seconds\":" + FormatJsonMetric(row.mean.wall_seconds);
-    out += ",\"sim_events\":" + FormatJsonMetric(row.mean.sim_events);
-    out += ",\"events_per_second\":" +
-           FormatJsonMetric(row.mean.wall_seconds > 0
-                                ? row.mean.sim_events / row.mean.wall_seconds
-                                : 0.0);
-    const double row_sched = row.mean.queue_wheel_absorbed + row.mean.queue_wheel_spilled;
-    out += ",\"queue\":{\"wheel_absorbed\":" +
-           FormatJsonMetric(row.mean.queue_wheel_absorbed);
-    out += ",\"wheel_spilled\":" + FormatJsonMetric(row.mean.queue_wheel_spilled);
-    out += ",\"wheel_absorb_rate\":" +
-           FormatJsonMetric(row_sched > 0 ? row.mean.queue_wheel_absorbed / row_sched
-                                          : 0.0);
-    out += "}";
-    out += ",\"shards\":" +
-           std::to_string(static_cast<int>(row.mean.resolved_shards));
-    out += ",\"partition\":" +
-           JsonString(sim::PartitionKindName(row.config.partition));
-    out += ",\"shard\":{\"stall_us\":" + FormatJsonMetric(row.mean.shard_stall_us);
-    out += ",\"stall_episodes\":" + FormatJsonMetric(row.mean.shard_stall_episodes);
-    out += ",\"mirrored_frames\":" +
-           FormatJsonMetric(row.mean.shard_mirrored_frames);
-    out += ",\"cut_edges\":" + FormatJsonMetric(row.mean.partition_cut_edges);
-    out += ",\"imbalance\":" + FormatJsonMetric(row.mean.partition_imbalance);
-    out += "}";
-    if (profiled) {
-      out += ",\"profile\":{";
-      for (size_t b = 0; b < std::size(kBuckets); ++b) {
-        if (b > 0) out += ",";
-        out += JsonString(kBuckets[b].key);
-        out += ":";
-        out += FormatJsonMetric(kBuckets[b].get(row.mean));
-      }
-      out += "}";
-    }
-    out += "}";
-  }
-  out += "]}\n";
   return out;
 }
 

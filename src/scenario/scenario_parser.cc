@@ -11,6 +11,7 @@
 #include <utility>
 #include <variant>
 
+#include "common/check.h"
 #include "common/types.h"
 #include "workload/data_source.h"
 
@@ -200,7 +201,6 @@ constexpr KeyDesc kKeys[] = {
     IntKey("trials", [](Cfg& c) { return &c.trials; }, 1, 10000),
     UintKey("seed", [](Cfg& c) { return &c.seed; }),
     IntKey("shards", [](Cfg& c) { return &c.shards; }, 0, 64),
-    EnumKey<sim::QueueImplName>("queue", [](Cfg& c) { return &c.queue; }),
     EnumKey<sim::PartitionKindName>("partition", [](Cfg& c) { return &c.partition; }),
     // Typed fault injection (src/fault/). The crash-stop keys write the
     // node_failure_* / failure_* config fields the harness has always read.
@@ -292,6 +292,26 @@ constexpr KeyDesc kKeys[] = {
     TimeKey(kSeconds, "obs.metrics_interval_seconds",
             [](Cfg& c) { return &c.metrics_interval; }, kPositive),
     BoolKey("obs.profile", [](Cfg& c) { return &c.profile; }),
+};
+
+/// A cross-field rule over two numeric rows of kKeys: the value of `lo`
+/// must not exceed the value of `hi`. An inverted fault window or
+/// rectangle would otherwise silently disable its fault.
+struct OrderedPair {
+  const char* lo;
+  const char* hi;
+};
+
+constexpr OrderedPair kOrderedPairs[] = {
+    {"query_width_lo", "query_width_hi"},
+    {"domain_lo", "domain_hi"},
+    {"fault.link_degrade_start_minute", "fault.link_degrade_end_minute"},
+    {"fault.link_degrade_x_lo", "fault.link_degrade_x_hi"},
+    {"fault.link_degrade_y_lo", "fault.link_degrade_y_hi"},
+    {"fault.partition_start_minute", "fault.partition_end_minute"},
+    {"fault.partition_x_lo", "fault.partition_x_hi"},
+    {"fault.partition_y_lo", "fault.partition_y_hi"},
+    {"fault.base_outage_start_minute", "fault.base_outage_end_minute"},
 };
 
 const KeyDesc* FindKey(std::string_view key) {
@@ -416,6 +436,24 @@ Status Apply(const KeyDesc& k, Cfg* c, std::string_view v) {
     }
   }
   return Status::Internal("unhandled key kind");
+}
+
+/// The value of a numeric row (int, double or duration), for comparisons.
+double NumericValue(const KeyDesc& k, const Cfg& config) {
+  Cfg& c = const_cast<Cfg&>(config);  // Accessors are only read through here.
+  switch (k.kind) {
+    case KeyKind::kInt:
+      return *std::get<Field<int>>(k.field)(c);
+    case KeyKind::kDouble:
+      return *std::get<Field<double>>(k.field)(c);
+    case KeyKind::kMinutes:
+    case KeyKind::kSeconds:
+    case KeyKind::kMillis:
+      return static_cast<double>(*std::get<Field<SimTime>>(k.field)(c));
+    default:
+      SCOOP_CHECK(false);  // kOrderedPairs names numeric rows only.
+  }
+  return 0;
 }
 
 /// The row's current value in .scn spelling.
@@ -543,11 +581,13 @@ std::string FormatShortestDouble(double v) {
 }
 
 Status ValidateConfig(const harness::ExperimentConfig& config) {
-  if (config.query_width_lo > config.query_width_hi) {
-    return Status::InvalidArgument("query_width_lo must be <= query_width_hi");
-  }
-  if (config.source_options.domain_lo > config.source_options.domain_hi) {
-    return Status::InvalidArgument("domain_lo must be <= domain_hi");
+  for (const OrderedPair& pair : kOrderedPairs) {
+    const KeyDesc* lo = FindKey(pair.lo);
+    const KeyDesc* hi = FindKey(pair.hi);
+    SCOOP_CHECK(lo != nullptr && hi != nullptr);
+    if (NumericValue(*lo, config) > NumericValue(*hi, config)) {
+      return Status::InvalidArgument(std::string(pair.lo) + " must be <= " + pair.hi);
+    }
   }
   if (config.fault.base_outage_end > config.fault.base_outage_start &&
       config.fault.base_backup != 0 &&

@@ -37,10 +37,12 @@ Result<Scenario> ParseScenario(std::string_view text, std::string_view origin = 
 Status ApplyScenarioKey(harness::ExperimentConfig* config, std::string_view key,
                         std::string_view value);
 
-/// Cross-field invariants (query_width_lo <= query_width_hi, domain_lo <=
-/// domain_hi) that single-key setters cannot enforce. ParseScenario applies
-/// this to the base config and the campaign runner to every sweep-expanded
-/// combo, so a sweep cannot smuggle in an invalid configuration.
+/// Cross-field invariants that single-key setters cannot enforce: ordered
+/// key pairs (query widths, the value domain, every fault window and
+/// rectangle must have lo <= hi) and an existing base-outage backup node.
+/// ParseScenario applies this to the base config and the campaign runner
+/// to every sweep-expanded combo, so a sweep cannot smuggle in an invalid
+/// configuration.
 Status ValidateConfig(const harness::ExperimentConfig& config);
 
 /// All recognized config keys, in canonical (writer) order.

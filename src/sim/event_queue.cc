@@ -7,16 +7,6 @@
 
 namespace scoop::sim {
 
-const char* QueueImplName(QueueImpl impl) {
-  switch (impl) {
-    case QueueImpl::kWheel:
-      return "wheel";
-    case QueueImpl::kHeap:
-      return "heap";
-  }
-  return "?";
-}
-
 uint32_t EventQueue::AcquireSlot() {
   if (free_head_ != kNilSlot) {
     uint32_t index = free_head_;
@@ -47,7 +37,7 @@ EventId EventQueue::ScheduleAt(SimTime at, Callback fn) {
   s.key = key;
   s.fn = std::move(fn);
   HeapEntry entry{at, key};
-  if (impl_ == QueueImpl::kWheel && wheel_.TryPush(at, entry)) {
+  if (wheel_.TryPush(at, entry)) {
     ++absorbed_;
   } else {
     ++spilled_;
@@ -128,8 +118,7 @@ void EventQueue::SkimStale() {
 
 const EventQueue::HeapEntry* EventQueue::PeekHead(bool* from_wheel) {
   SkimStale();
-  const HeapEntry* w =
-      impl_ == QueueImpl::kWheel ? wheel_.PeekEarliest() : nullptr;
+  const HeapEntry* w = wheel_.PeekEarliest();
   const HeapEntry* h = heap_.empty() ? nullptr : &heap_.front();
   // Both tiers merge through the full comparator, so cross-tier ties in
   // time resolve by schedule sequence exactly as the heap alone would.
@@ -162,7 +151,7 @@ bool EventQueue::RunNext(SimTime limit) {
   ReleaseSlot(index);
   --live_;
   now_ = top.at;
-  if (impl_ == QueueImpl::kWheel) wheel_.AdvanceTo(now_);
+  wheel_.AdvanceTo(now_);
   ++processed_;
   if (profiler_ != nullptr) {
     obs::SimProfiler::Bucket prev =
@@ -177,19 +166,13 @@ bool EventQueue::RunNext(SimTime limit) {
 
 bool EventQueue::RunOne() { return RunNext(kSimTimeHorizon); }
 
-SimTime EventQueue::NextEventTime() {
-  bool from_wheel = false;
-  const HeapEntry* head = PeekHead(&from_wheel);
-  return head == nullptr ? kSimTimeHorizon : head->at;
-}
-
 void EventQueue::RunUntil(SimTime end) {
   obs::ScopedBucket bucket(profiler_, obs::SimProfiler::kQueue);
   while (RunNext(end)) {
   }
   SCOOP_CHECK_GE(end, now_);
   now_ = end;
-  if (impl_ == QueueImpl::kWheel) wheel_.AdvanceTo(now_);
+  wheel_.AdvanceTo(now_);
 }
 
 void EventQueue::Compact() {

@@ -18,10 +18,8 @@
 // Running an event pops the Earlier()-minimum of the two tier heads, so
 // execution order is identical to the heap-only order -- see the ordering
 // invariant below and the determinism argument in timer_wheel.h; the
-// randomized differential test drives both tiers against a heap-only
-// queue with identical schedule/cancel streams. QueueImpl::kHeap bypasses
-// the wheel entirely (the `queue=heap` scenario escape hatch) for
-// bisection and the equivalence suite.
+// randomized differential test replays schedule/cancel streams against an
+// in-test reference ordering on (time, schedule sequence).
 //
 // Callbacks live in a slab of reusable slots addressed by index, so
 // schedule/cancel/run perform no per-event heap allocation (the seed paid
@@ -62,17 +60,6 @@ using EventId = uint64_t;
 /// Sentinel for "no event". Sequence numbers start at 1, so no id is 0.
 inline constexpr EventId kInvalidEventId = 0;
 
-/// Which front-end the simulator queues use. kWheel is the default
-/// (timer wheel in front of the heap); kHeap is the heap-only escape
-/// hatch (`queue=heap` scenario key / `--queue=heap`) for bisection --
-/// both produce bit-identical runs.
-enum class QueueImpl {
-  kWheel,
-  kHeap,
-};
-
-const char* QueueImplName(QueueImpl impl);
-
 /// Min-heap of timed callbacks. Ties in time are broken by scheduling order,
 /// making runs bit-reproducible.
 ///
@@ -93,7 +80,7 @@ class EventQueue {
  public:
   using Callback = SmallCallback;
 
-  explicit EventQueue(QueueImpl impl = QueueImpl::kWheel) : impl_(impl) {}
+  EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
@@ -117,10 +104,6 @@ class EventQueue {
   /// Number of pending (scheduled and not cancelled) events.
   size_t size() const { return live_; }
 
-  /// Earliest pending event time across both tiers, kSimTimeHorizon when
-  /// empty. Exact, not merely a lower bound (skims stale entries first).
-  SimTime NextEventTime();
-
   /// Runs the earliest pending event. Returns false when the queue is empty.
   bool RunOne();
 
@@ -142,13 +125,10 @@ class EventQueue {
   size_t heap_tier_size() const { return heap_.size(); }
 
   /// Schedules absorbed by the wheel / spilled to the heap since
-  /// construction (heap-only mode counts every schedule as spilled).
-  /// Observation-only, always on; the absorb rate is the wheel's
-  /// effectiveness measure the bench tooling reports.
+  /// construction. Observation-only, always on; the absorb rate is the
+  /// wheel's effectiveness measure the bench tooling reports.
   uint64_t wheel_absorbed() const { return absorbed_; }
   uint64_t wheel_spilled() const { return spilled_; }
-
-  QueueImpl impl() const { return impl_; }
 
   /// Optional wall-clock profiler (obs layer; null = off, the default).
   /// When set, run-loop/heap work is attributed to the kQueue bucket and
@@ -223,7 +203,6 @@ class EventQueue {
   /// Rebuilds both tiers from live entries only.
   void Compact();
 
-  QueueImpl impl_;
   std::vector<HeapEntry> heap_;
   TimerWheel<EventQueue> wheel_{this};
   std::vector<Slot> slots_;

@@ -69,7 +69,7 @@ class Network::Host : public Context {
 };
 
 Network::Network(Topology topology, NetworkOptions options)
-    : topology_(std::move(topology)), options_(options), queue_(options.queue_impl) {
+    : topology_(std::move(topology)), options_(options) {
   radio_ = std::make_unique<Radio>(&topology_, options_.radio, &queue_, options_.seed);
   int n = topology_.num_nodes();
   hosts_.reserve(static_cast<size_t>(n));

@@ -20,10 +20,6 @@ struct NetworkOptions {
   uint64_t seed = 1;
   /// Nodes boot at a uniform random time in [0, boot_jitter].
   SimTime boot_jitter = Seconds(2);
-  /// Event queue implementation. Execution order (and thus every result)
-  /// is identical for both; kHeap exists for differential testing and
-  /// benchmarking against the two-tier default.
-  QueueImpl queue_impl = QueueImpl::kWheel;
 };
 
 /// Owns the simulation state for one run.

@@ -12,8 +12,7 @@ namespace scoop::sim {
 // ShardQueue
 // ---------------------------------------------------------------------------
 
-ShardQueue::ShardQueue(uint32_t num_origins, QueueImpl impl)
-    : impl_(impl), counters_(num_origins, 0) {
+ShardQueue::ShardQueue(uint32_t num_origins) : counters_(num_origins, 0) {
   SCOOP_CHECK(num_origins <= (1u << 18));  // Origin field is 18 bits wide.
 }
 
@@ -28,7 +27,7 @@ EventId ShardQueue::ScheduleInternal(SimTime at, uint64_t ord, NodeId sender,
   s.sender = sender;
   s.gen = gen;
   HeapEntry entry{at, ord, key};
-  if (impl_ == QueueImpl::kWheel && wheel_.TryPush(at, entry)) {
+  if (wheel_.TryPush(at, entry)) {
     ++absorbed_;
   } else {
     ++spilled_;
@@ -91,8 +90,7 @@ void ShardQueue::MaybeCompact() {
 
 const ShardQueue::HeapEntry* ShardQueue::PeekHead(bool* from_wheel) {
   SkimStale();
-  const HeapEntry* w =
-      impl_ == QueueImpl::kWheel ? wheel_.PeekEarliest() : nullptr;
+  const HeapEntry* w = wheel_.PeekEarliest();
   const HeapEntry* h = heap_.empty() ? nullptr : &heap_.front();
   // Cross-tier ties resolve through the full canonical comparator, so the
   // two-tier order equals the heap-only order.
@@ -139,7 +137,7 @@ bool ShardQueue::RunOne() {
   ReleaseSlot(slot);
   --live_;
   now_ = top.at;
-  if (impl_ == QueueImpl::kWheel) wheel_.AdvanceTo(now_);
+  wheel_.AdvanceTo(now_);
   ++processed_;
   if (profiler_ != nullptr) {
     obs::SimProfiler::Bucket prev =

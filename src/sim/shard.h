@@ -86,7 +86,7 @@ class ShardQueue {
 
   /// `num_origins` bounds the phase-2 origin space: node ids plus any
   /// pseudo-origins (driver, failure injector) the caller packs above them.
-  explicit ShardQueue(uint32_t num_origins, QueueImpl impl = QueueImpl::kWheel);
+  explicit ShardQueue(uint32_t num_origins);
 
   ShardQueue(const ShardQueue&) = delete;
   ShardQueue& operator=(const ShardQueue&) = delete;
@@ -213,7 +213,6 @@ class ShardQueue {
   const HeapEntry* PeekHead(bool* from_wheel);
   void MaybeCompact();
 
-  QueueImpl impl_;
   std::vector<HeapEntry> heap_;
   TimerWheel<ShardQueue> wheel_{this};
   std::vector<Slot> slots_;
@@ -261,7 +260,6 @@ class ShardRadio {
 
   /// Powers a locally-owned node down or up (see Radio::SetNodeAlive).
   void SetNodeAlive(NodeId id, bool alive);
-  bool IsAlive(NodeId id) const { return alive_[id]; }
 
   /// Attaches a link-fault channel (see Radio::SetFaultChannel). Every
   /// shard must attach the SAME channel: the keyed loss/ACK draws consume

@@ -78,7 +78,7 @@ class ShardedEngine::Host : public Context {
 /// hosts it owns. Everything in here is touched only by the shard's own
 /// thread while a run is in flight.
 struct ShardedEngine::Shard {
-  Shard(uint32_t num_origins, QueueImpl impl) : queue(num_origins, impl) {}
+  explicit Shard(uint32_t num_origins) : queue(num_origins) {}
 
   int index = 0;
   ShardQueue queue;
@@ -187,7 +187,7 @@ ShardedEngine::ShardedEngine(Topology topology, ShardedEngineOptions options)
   uint32_t num_origins = static_cast<uint32_t>(n) + 2;
   shards_.reserve(static_cast<size_t>(num_shards_));
   for (int s = 0; s < num_shards_; ++s) {
-    auto shard = std::make_unique<Shard>(num_origins, options_.queue_impl);
+    auto shard = std::make_unique<Shard>(num_origins);
     Shard* sh = shard.get();
     sh->index = s;
     sh->in_mask = in_mask[s];
@@ -336,10 +336,6 @@ void ShardedEngine::FaultRootPromote(NodeId id, bool promote) {
 
 void ShardedEngine::SetFaultChannel(const fault::LinkFaultChannel* channel) {
   for (auto& shard : shards_) shard->radio->SetFaultChannel(channel);
-}
-
-bool ShardedEngine::IsAlive(NodeId id) const {
-  return shards_[owner_[id]]->radio->IsAlive(id);
 }
 
 void ShardedEngine::set_transmit_observer(int shard, Radio::TransmitHook observer) {

@@ -77,9 +77,6 @@ struct ShardedEngineOptions {
   /// Number of shards (threads) to split the trial across. Results are
   /// identical for every value; 1 runs inline without threads.
   int shards = 1;
-  /// Per-shard queue implementation; results are identical for both (see
-  /// NetworkOptions::queue_impl).
-  QueueImpl queue_impl = QueueImpl::kWheel;
   /// How the topology is split into shards (sim/partition.h). Results are
   /// identical for both kinds; only boundary traffic and speed change.
   PartitionKind partition = PartitionKind::kStrip;
@@ -170,9 +167,6 @@ class ShardedEngine {
   /// Attaches a link-fault channel to every shard's radio (nullptr
   /// detaches). Must precede RunUntil; the channel must outlive the run.
   void SetFaultChannel(const fault::LinkFaultChannel* channel);
-
-  /// True unless the node was powered down.
-  bool IsAlive(NodeId id) const;
 
   /// Total events executed across all shards. Note this counts boundary
   /// evaluation events once per mirroring shard, so it grows slightly

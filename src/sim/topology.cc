@@ -365,16 +365,6 @@ double Topology::AvgNeighborFraction(double threshold) const {
   return static_cast<double>(total) / (static_cast<double>(n) * (n - 1));
 }
 
-double Topology::MeanAudibleDelivery() const {
-  double sum = 0;
-  long count = 0;
-  for (const Link& link : out_links_) {
-    sum += link.prob;
-    ++count;
-  }
-  return count == 0 ? 0.0 : sum / static_cast<double>(count);
-}
-
 bool Topology::ConnectedAt(const SparseLinks& links, int n, double threshold) {
   // `forward` follows edges u->v (base pushes data out); `reverse` follows
   // v->u (data flows toward the base). Both must span the network; each

@@ -204,9 +204,6 @@ class Topology {
   /// probability >= threshold). O(links).
   double AvgNeighborFraction(double threshold) const;
 
-  /// Mean delivery probability over audible links (prob > 0).
-  double MeanAudibleDelivery() const;
-
   /// True iff every node is reachable *from* the base and can reach the
   /// base over directed links with delivery >= threshold. (Asymmetric
   /// shadowing can leave clusters with outbound-only links; those are not

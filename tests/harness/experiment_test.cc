@@ -149,7 +149,7 @@ TEST(HarnessTest, TrialsCarryPerfTelemetry) {
   config.trials = 1;
   ExperimentResult r = RunAnyTrial(config, 11);
   // A simulated trial executes thousands of events and takes nonzero wall
-  // time; both feed the campaign perf report (events/second).
+  // time; both feed the scoop_campaign summary line and perfbench.
   EXPECT_GT(r.sim_events, 100);
   EXPECT_GT(r.wall_seconds, 0);
 

@@ -141,6 +141,16 @@ TEST(CampaignTest, ExpansionRejectsInvalidSweptCombos) {
       << runs.status().ToString();
   EXPECT_NE(runs.status().message().find("domain_lo must be <= domain_hi"),
             std::string::npos);
+  // A swept fault window start that falls after its end is caught too.
+  s = MustParse(std::string(kTinyBase) +
+                "fault.partition_end_minute = 8\n"
+                "sweep.fault.partition_start_minute = 4, 10\n");
+  runs = ExpandScenario(s);
+  ASSERT_FALSE(runs.ok());
+  EXPECT_NE(runs.status().message().find(
+                "fault.partition_start_minute must be <= fault.partition_end_minute"),
+            std::string::npos)
+      << runs.status().ToString();
 }
 
 TEST(CampaignTest, ExpansionCapsTheCrossProduct) {

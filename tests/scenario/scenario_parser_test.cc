@@ -76,7 +76,6 @@ TEST(ScenarioParserTest, RoundTripEveryKey) {
       {"trials", "5"},
       {"seed", "123456789"},
       {"shards", "4"},
-      {"queue", "heap"},
       {"partition", "mincut"},
       {"fault.crash_fraction", "0.25"},
       {"fault.crash_minute", "12.5"},
@@ -167,7 +166,6 @@ TEST(ScenarioParserTest, RoundTripEveryKey) {
   EXPECT_EQ(c.trials, 5);
   EXPECT_EQ(c.seed, 123456789u);
   EXPECT_EQ(c.shards, 4);
-  EXPECT_EQ(c.queue, sim::QueueImpl::kHeap);
   EXPECT_EQ(c.partition, sim::PartitionKind::kMincut);
   EXPECT_EQ(c.failure_wave_count, 3);
   EXPECT_DOUBLE_EQ(c.fault.reboot_fraction, 0.15);
@@ -229,6 +227,9 @@ TEST(ScenarioParserTest, UnknownKeyReportsPosition) {
   std::string err = ErrorOf("name = t\n  frobnicate = 1\n");
   EXPECT_NE(err.find("test.scn:2:3"), std::string::npos) << err;
   EXPECT_NE(err.find("unknown key 'frobnicate'"), std::string::npos) << err;
+  // The event queue has one implementation; its old selector is gone.
+  err = ErrorOf("name = t\nqueue = heap\n");
+  EXPECT_NE(err.find("unknown key 'queue'"), std::string::npos) << err;
 }
 
 TEST(ScenarioParserTest, UnknownSweepKeyReportsPosition) {
@@ -355,7 +356,7 @@ TEST(ScenarioParserTest, KeySpecsDescribeEveryKey) {
     return std::string();
   };
   EXPECT_EQ(accepts("policy"), "scoop|local|base|hash|hash-sim");
-  EXPECT_EQ(accepts("queue"), "wheel|heap");
+  EXPECT_EQ(accepts("partition"), "strip|mincut");
   EXPECT_EQ(accepts("nodes"), "int in [2, 65534]");
   EXPECT_EQ(accepts("duration_minutes"), "minutes > 0");
   EXPECT_EQ(accepts("obs.trace_out"), "path|off");
@@ -434,6 +435,40 @@ TEST(ScenarioParserTest, ValidateConfigChecksCrossFieldInvariants) {
   config.query_width_lo = 0.5;
   config.query_width_hi = 0.1;
   EXPECT_FALSE(ValidateConfig(config).ok());
+}
+
+// Every ordered pair (query widths, value domain, each fault window and
+// rectangle) rejects an inverted setting with a message naming both keys,
+// and accepts the same two values the right way round.
+TEST(ScenarioParserTest, InvertedOrderedPairsAreRejected) {
+  struct Row {
+    const char* lo_key;
+    const char* hi_key;
+    const char* small;
+    const char* large;
+  };
+  const Row rows[] = {
+      {"query_width_lo", "query_width_hi", "0.1", "0.9"},
+      {"domain_lo", "domain_hi", "50", "75"},
+      {"fault.link_degrade_start_minute", "fault.link_degrade_end_minute", "5", "10"},
+      {"fault.link_degrade_x_lo", "fault.link_degrade_x_hi", "0.1", "0.9"},
+      {"fault.link_degrade_y_lo", "fault.link_degrade_y_hi", "0.1", "0.9"},
+      {"fault.partition_start_minute", "fault.partition_end_minute", "5", "10"},
+      {"fault.partition_x_lo", "fault.partition_x_hi", "0.1", "0.9"},
+      {"fault.partition_y_lo", "fault.partition_y_hi", "0.1", "0.9"},
+      {"fault.base_outage_start_minute", "fault.base_outage_end_minute", "5", "10"},
+  };
+  for (const Row& row : rows) {
+    auto text = [&](const char* lo, const char* hi) {
+      return std::string("name = t\n") + row.lo_key + " = " + lo + "\n" + row.hi_key +
+             " = " + hi + "\n";
+    };
+    MustParse(text(row.small, row.large));
+    std::string err = ErrorOf(text(row.large, row.small));
+    EXPECT_NE(err.find(std::string(row.lo_key) + " must be <= " + row.hi_key),
+              std::string::npos)
+        << err;
+  }
 }
 
 TEST(ScenarioParserTest, ApplyScenarioKeyRejectsUnknownKey) {

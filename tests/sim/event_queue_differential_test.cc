@@ -1,12 +1,17 @@
-// Differential property tests for the two-tier queue: the timer wheel in
-// front of the heap (QueueImpl::kWheel) must execute the exact same event
-// sequence as the heap alone (kHeap) under randomized schedule / cancel /
-// reschedule streams -- including same-timestamp ties, zero-delay events
-// scheduled from inside callbacks, and delays straddling both wheel levels
-// and the spill horizon. This is the ordering-invariant contract that lets
-// the wheel default on without disturbing a single golden.
+// Differential property tests for the two-tier queues: EventQueue and
+// ShardQueue (timer wheel in front of the spill heap) must execute the
+// exact same event sequence as a small in-test reference model -- one
+// ordered map on the documented ordering key -- under randomized
+// schedule / cancel / reschedule streams, including same-timestamp ties,
+// zero-delay events scheduled from inside callbacks, and delays
+// straddling both wheel levels and the spill horizon. This is the
+// ordering-invariant contract every golden leans on.
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <string>
+#include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,7 +23,7 @@ namespace scoop::sim {
 namespace {
 
 /// Deterministic splitmix64: the op stream must be a pure function of the
-/// seed so both queue implementations replay the identical history.
+/// seed so the queue and its reference replay the identical history.
 class StreamRng {
  public:
   explicit StreamRng(uint64_t seed) : state_(seed) {}
@@ -55,11 +60,49 @@ SimTime DrawDelay(StreamRng& rng) {
   }
 }
 
-/// Replays one randomized schedule/cancel/reschedule history against an
-/// EventQueue built with `impl` and returns the execution order (labels in
-/// the order their callbacks fired) plus processed().
-std::pair<std::vector<int>, uint64_t> ReplayEventQueue(QueueImpl impl, uint64_t seed) {
-  EventQueue q(impl);
+/// Reference for EventQueue: FIFO by (time, schedule sequence).
+class ReferenceEventQueue {
+ public:
+  EventId ScheduleAt(SimTime at, std::function<void()> fn) {
+    EventId id = ++seq_;
+    events_.emplace(std::make_pair(at, id), std::move(fn));
+    at_[id] = at;
+    return id;
+  }
+  void Cancel(EventId id) {
+    auto it = at_.find(id);
+    if (it == at_.end()) return;
+    events_.erase(std::make_pair(it->second, id));
+    at_.erase(it);
+  }
+  void RunUntil(SimTime end) {
+    while (!events_.empty() && events_.begin()->first.first <= end) {
+      auto node = events_.extract(events_.begin());
+      at_.erase(node.key().second);
+      now_ = node.key().first;
+      ++processed_;
+      node.mapped()();
+    }
+    now_ = end;
+  }
+  SimTime now() const { return now_; }
+  size_t size() const { return events_.size(); }
+  uint64_t processed() const { return processed_; }
+
+ private:
+  std::map<std::pair<SimTime, uint64_t>, std::function<void()>> events_;
+  std::unordered_map<EventId, SimTime> at_;
+  uint64_t seq_ = 0;
+  SimTime now_ = 0;
+  uint64_t processed_ = 0;
+};
+
+/// Replays one randomized schedule/cancel/reschedule history against a
+/// fresh `Queue` and returns the execution order (labels in the order
+/// their callbacks fired) plus processed().
+template <typename Queue>
+std::pair<std::vector<int>, uint64_t> ReplayEventQueue(uint64_t seed) {
+  Queue q;
   StreamRng rng(seed);
   std::vector<int> order;
   std::vector<EventId> ids;  // Indexed by label; stale entries are fine.
@@ -115,18 +158,18 @@ std::pair<std::vector<int>, uint64_t> ReplayEventQueue(QueueImpl impl, uint64_t 
 
 TEST(EventQueueDifferentialTest, WheelMatchesHeapUnderRandomChurn) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
-    auto [heap_order, heap_processed] = ReplayEventQueue(QueueImpl::kHeap, seed);
-    auto [wheel_order, wheel_processed] = ReplayEventQueue(QueueImpl::kWheel, seed);
-    EXPECT_GT(heap_processed, 0u) << "seed " << seed;
-    EXPECT_EQ(wheel_processed, heap_processed) << "seed " << seed;
-    ASSERT_EQ(wheel_order, heap_order) << "seed " << seed;
+    auto [ref_order, ref_processed] = ReplayEventQueue<ReferenceEventQueue>(seed);
+    auto [wheel_order, wheel_processed] = ReplayEventQueue<EventQueue>(seed);
+    EXPECT_GT(ref_processed, 0u) << "seed " << seed;
+    EXPECT_EQ(wheel_processed, ref_processed) << "seed " << seed;
+    ASSERT_EQ(wheel_order, ref_order) << "seed " << seed;
   }
 }
 
 TEST(EventQueueDifferentialTest, WheelAbsorbsNearFutureSchedules) {
   // Sanity that the differential test actually exercises both tiers: a
   // wheel replay must both absorb and spill under the delay mix above.
-  EventQueue q(QueueImpl::kWheel);
+  EventQueue q;
   StreamRng rng(99);
   for (int i = 0; i < 2000; ++i) {
     q.ScheduleAt(q.now() + DrawDelay(rng), [] {});
@@ -137,13 +180,70 @@ TEST(EventQueueDifferentialTest, WheelAbsorbsNearFutureSchedules) {
   EXPECT_EQ(q.wheel_absorbed() + q.wheel_spilled(), 2000u);
 }
 
+/// Reference for ShardQueue: ordered on the documented canonical key
+/// (time, phase, origin, counter), where eval/finish events key on
+/// (sender, generation) and regular events on (origin, per-origin
+/// schedule counter).
+class ReferenceShardQueue {
+ public:
+  explicit ReferenceShardQueue(uint32_t num_origins) : counters_(num_origins, 0) {}
+
+  EventId ScheduleEval(SimTime at, NodeId sender, uint32_t gen, std::function<void()> fn) {
+    return Insert(Key{at, 0, sender, gen}, std::move(fn));
+  }
+  EventId ScheduleFinish(SimTime at, NodeId sender, uint32_t gen, std::function<void()> fn) {
+    return Insert(Key{at, 1, sender, gen}, std::move(fn));
+  }
+  EventId ScheduleRegular(SimTime at, uint32_t origin, std::function<void()> fn) {
+    return Insert(Key{at, 2, origin, counters_[origin]++}, std::move(fn));
+  }
+  void Cancel(EventId id) {
+    auto it = keys_.find(id);
+    if (it == keys_.end()) return;
+    events_.erase(it->second);
+    keys_.erase(it);
+  }
+  bool empty() const { return events_.empty(); }
+  SimTime HeadTime() const {
+    return events_.empty() ? kSimTimeHorizon : std::get<0>(events_.begin()->first);
+  }
+  bool RunOne() {
+    if (events_.empty()) return false;
+    auto node = events_.extract(events_.begin());
+    keys_.erase(node.mapped().first);
+    now_ = std::get<0>(node.key());
+    ++processed_;
+    node.mapped().second();
+    return true;
+  }
+  SimTime now() const { return now_; }
+  uint64_t processed() const { return processed_; }
+
+ private:
+  using Key = std::tuple<SimTime, int, uint32_t, uint64_t>;
+
+  EventId Insert(const Key& key, std::function<void()> fn) {
+    EventId id = ++seq_;
+    events_.emplace(key, std::make_pair(id, std::move(fn)));
+    keys_.emplace(id, key);
+    return id;
+  }
+
+  std::map<Key, std::pair<EventId, std::function<void()>>> events_;
+  std::unordered_map<EventId, Key> keys_;
+  std::vector<uint64_t> counters_;
+  uint64_t seq_ = 0;
+  SimTime now_ = 0;
+  uint64_t processed_ = 0;
+};
+
 /// ShardQueue replay: same shape, but through the canonical (time, ord)
 /// ordering -- regular events with random origins plus eval/finish phases,
 /// whose relative order the wheel's lazy bucket sort must reproduce.
-std::pair<std::vector<std::string>, uint64_t> ReplayShardQueue(QueueImpl impl,
-                                                               uint64_t seed) {
+template <typename Queue>
+std::pair<std::vector<std::string>, uint64_t> ReplayShardQueue(uint64_t seed) {
   constexpr uint32_t kOrigins = 16;
-  ShardQueue q(kOrigins, impl);
+  Queue q(kOrigins);
   StreamRng rng(seed);
   std::vector<std::string> order;
   std::vector<EventId> ids;
@@ -159,7 +259,7 @@ std::pair<std::vector<std::string>, uint64_t> ReplayShardQueue(QueueImpl impl,
       case 0: {
         // gen = label keeps (sender, gen) unique: the engine never enqueues
         // two evals for one (sender, gen) at one instant, and a duplicate
-        // would make the canonical order ill-defined for both impls.
+        // would make the canonical order ill-defined.
         NodeId sender = static_cast<NodeId>(rng.Below(kOrigins));
         std::string tag(1, 'e');
         tag += std::to_string(label);
@@ -219,11 +319,11 @@ std::pair<std::vector<std::string>, uint64_t> ReplayShardQueue(QueueImpl impl,
 
 TEST(ShardQueueDifferentialTest, WheelMatchesHeapUnderRandomChurn) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
-    auto [heap_order, heap_processed] = ReplayShardQueue(QueueImpl::kHeap, seed);
-    auto [wheel_order, wheel_processed] = ReplayShardQueue(QueueImpl::kWheel, seed);
-    EXPECT_GT(heap_processed, 0u) << "seed " << seed;
-    EXPECT_EQ(wheel_processed, heap_processed) << "seed " << seed;
-    ASSERT_EQ(wheel_order, heap_order) << "seed " << seed;
+    auto [ref_order, ref_processed] = ReplayShardQueue<ReferenceShardQueue>(seed);
+    auto [wheel_order, wheel_processed] = ReplayShardQueue<ShardQueue>(seed);
+    EXPECT_GT(ref_processed, 0u) << "seed " << seed;
+    EXPECT_EQ(wheel_processed, ref_processed) << "seed " << seed;
+    ASSERT_EQ(wheel_order, ref_order) << "seed " << seed;
   }
 }
 

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Standing perf harness: runs the radio, event-queue, xmits-estimator,
-# topology, and node-set-codec microbenchmarks plus the campaign perf
-# probes (wall-clock / events-per-second, sharded scaling points, and a
-# sim-profiler bucket breakdown), and merges everything into one
-# BENCH_radio.json so the perf trajectory is machine-tracked across PRs.
-# Compare two points with tools/bench_compare.py.
+# Micro-bench trajectory: runs the radio, event-queue, xmits-estimator,
+# topology, and node-set-codec microbenchmarks and merges them into one
+# BENCH_radio.json, so component speedups stay machine-tracked across
+# changes. Compare two points with tools/bench_compare.py. End-to-end
+# performance is measured by the fixed-work benchmark (perfbench/run.py)
+# and gated by tools/perf_gate.py.
 #
 # Usage: tools/bench_json.sh [build-dir] [output.json]
 #   build-dir   defaults to build-release (cmake --preset release)
@@ -23,7 +23,6 @@ min_time="${BENCH_MIN_TIME:-0.2}"
 filter="${BENCH_FILTER:-}"
 
 bench_dir="${repo_root}/${build_dir}/bench"
-tools_dir="${repo_root}/${build_dir}/tools"
 micro_benches=(micro_radio micro_event_queue micro_xmits micro_topology micro_nodeset)
 for name in "${micro_benches[@]}"; do
   if [[ ! -x "${bench_dir}/bench_${name}" ]]; then
@@ -31,10 +30,6 @@ for name in "${micro_benches[@]}"; do
     exit 1
   fi
 done
-if [[ ! -x "${tools_dir}/scoop_campaign" ]]; then
-  echo "error: ${tools_dir}/scoop_campaign not built" >&2
-  exit 1
-fi
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "${tmp}"' EXIT
@@ -46,77 +41,23 @@ for name in "${micro_benches[@]}"; do
   "${bench_dir}/bench_${name}" "${bench_args[@]}" \
       --benchmark_out="${tmp}/${name}.json" >&2
 done
-# Campaign probes: smoke_tiny (2 nodes, seconds of sim time) keeps the old
-# trajectory comparable; grid_dense (121-node lattice, three policies) is
-# the mid-scale probe; grid_1024 (32x32 lattice, Scoop policy) is the
-# first agent-level point past the old 128-node query-bitmap cap;
-# churn_reboot exercises the fault-injection path (reboot waves + orphan
-# re-homing + retries + query re-issue), so fault-plan overhead is tracked
-# on the same trajectory as the fault-free probes.
-"${tools_dir}/scoop_campaign" --scenario=smoke_tiny --threads=1 --quiet \
-    --perf-json="${tmp}/campaign_smoke.json"
-"${tools_dir}/scoop_campaign" --scenario=grid_dense --threads=1 --quiet \
-    --perf-json="${tmp}/campaign_grid_dense.json"
-"${tools_dir}/scoop_campaign" --scenario=grid_1024 --threads=1 --quiet \
-    --perf-json="${tmp}/campaign_grid_1024.json"
-"${tools_dir}/scoop_campaign" --scenario=churn_reboot --threads=1 --quiet \
-    --perf-json="${tmp}/campaign_churn_reboot.json"
-# Sharded scaling probes: the same 1024-node lattice split across K
-# parallel shards (conservative PDES engine). Tracks single-trial
-# strong-scaling; shards=1 above stays the sequential-engine baseline.
-shard_counts="${BENCH_SHARD_COUNTS:-2 4 8}"
-for k in ${shard_counts}; do
-  "${tools_dir}/scoop_campaign" --scenario=grid_1024 --threads=1 \
-      --shards="${k}" --quiet \
-      --perf-json="${tmp}/campaign_grid_1024_shards${k}.json"
-done
-# The same scaling points under the min-cut partitioner: identical results
-# by contract (equivalence suite), but fewer boundary links means fewer
-# mirrored frames and shorter EPT stalls -- the delta vs the strip probes
-# above is the partitioner's whole value, so both stay on the trajectory.
-for k in ${shard_counts}; do
-  "${tools_dir}/scoop_campaign" --scenario=grid_1024 --threads=1 \
-      --shards="${k}" --partition=mincut --quiet \
-      --perf-json="${tmp}/campaign_grid_1024_mincut_shards${k}.json"
-done
-# Profiled grid_1024: same probe with the sim profiler attached, so the
-# perf point records where the wall time actually goes (queue vs radio vs
-# agent buckets; see the "MAC timer churn" ROADMAP hypothesis). A separate
-# section: the unprofiled probe above stays the clean throughput number,
-# and bench_compare.py diffs the buckets informationally.
-"${tools_dir}/scoop_campaign" --scenario=grid_1024 --threads=1 --obs.profile=on \
-    --quiet --perf-json="${tmp}/campaign_grid_1024_profile.json"
 
 commit="$(git -C "${repo_root}" rev-parse --short HEAD 2>/dev/null || echo unknown)"
 
-python3 - "${tmp}" "${out}" "${commit}" "${min_time}" "${shard_counts}" <<'EOF'
+python3 - "${tmp}" "${out}" "${commit}" "${min_time}" "${micro_benches[@]}" <<'PY'
 import json
 import sys
 
-tmp, out, commit, min_time, shard_counts = sys.argv[1:6]
+tmp, out, commit, min_time, *names = sys.argv[1:]
 doc = {
     "schema": "scoop-bench-v1",
     "commit": commit,
     "benchmark_min_time_seconds": float(min_time),
-    "micro_radio": json.load(open(f"{tmp}/micro_radio.json")),
-    "micro_event_queue": json.load(open(f"{tmp}/micro_event_queue.json")),
-    "micro_xmits": json.load(open(f"{tmp}/micro_xmits.json")),
-    "micro_topology": json.load(open(f"{tmp}/micro_topology.json")),
-    "micro_nodeset": json.load(open(f"{tmp}/micro_nodeset.json")),
-    "campaign_smoke": json.load(open(f"{tmp}/campaign_smoke.json")),
-    "campaign_grid_dense": json.load(open(f"{tmp}/campaign_grid_dense.json")),
-    "campaign_grid_1024": json.load(open(f"{tmp}/campaign_grid_1024.json")),
-    "campaign_churn_reboot": json.load(open(f"{tmp}/campaign_churn_reboot.json")),
-    "campaign_grid_1024_profile": json.load(
-        open(f"{tmp}/campaign_grid_1024_profile.json")),
 }
-for k in shard_counts.split():
-    doc[f"campaign_grid_1024_shards{k}"] = json.load(
-        open(f"{tmp}/campaign_grid_1024_shards{k}.json"))
-    doc[f"campaign_grid_1024_mincut_shards{k}"] = json.load(
-        open(f"{tmp}/campaign_grid_1024_mincut_shards{k}.json"))
+for name in names:
+    doc[name] = json.load(open(f"{tmp}/{name}.json"))
 with open(out, "w") as f:
     json.dump(doc, f, indent=1)
     f.write("\n")
 print(f"wrote {out}")
-EOF
+PY

@@ -40,7 +40,6 @@ void PrintUsage(std::FILE* out, const char* argv0) {
                "          [--threads=N]      worker threads (0 = all hardware threads)\n"
                "          [--csv=PATH]       write per-trial + mean rows as CSV\n"
                "          [--json=PATH]      write per-combo JSON-lines\n"
-               "          [--perf-json=PATH] write wall-clock/events-per-second perf report\n"
                "          [-v | -vv]         info / debug logging to stderr\n"
                "          [--quiet]          suppress the summary table\n"
                "       %s --list             list registered scenarios\n"
@@ -86,7 +85,6 @@ int main(int argc, char** argv) {
   std::string file_path;
   std::string csv_path;
   std::string json_path;
-  std::string perf_json_path;
   int threads = 0;
   bool quiet = false;
   int verbosity = 0;
@@ -126,8 +124,6 @@ int main(int argc, char** argv) {
       csv_path = value;
     } else if (MatchFlag(arg, "--json", &value) && value != nullptr) {
       json_path = value;
-    } else if (MatchFlag(arg, "--perf-json", &value) && value != nullptr) {
-      perf_json_path = value;
     } else if (std::strcmp(arg, "-v") == 0) {
       verbosity = 1;
     } else if (std::strcmp(arg, "-vv") == 0) {
@@ -182,18 +178,13 @@ int main(int argc, char** argv) {
       for (const auto& trial : row.trials) events += trial.sim_events;
     }
     std::printf("%zu combos x trials = %zu runs on %d thread%s"
-                " (%.2fs wall, %.0f events/s)\n\n",
+                " (%.2fs wall, %.0f events)\n\n",
                 result.rows.size(), total_trials, result.threads_used,
-                result.threads_used == 1 ? "" : "s", result.wall_seconds,
-                result.wall_seconds > 0 ? events / result.wall_seconds : 0.0);
+                result.threads_used == 1 ? "" : "s", result.wall_seconds, events);
     std::fputs(scenario::CampaignTable(result).c_str(), stdout);
   }
   if (!csv_path.empty() && !WriteFile(csv_path, scenario::CampaignCsv(result))) return 1;
   if (!json_path.empty() && !WriteFile(json_path, scenario::CampaignJsonLines(result))) {
-    return 1;
-  }
-  if (!perf_json_path.empty() &&
-      !WriteFile(perf_json_path, scenario::CampaignPerfJson(result))) {
     return 1;
   }
   return 0;
