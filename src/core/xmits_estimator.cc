@@ -21,6 +21,14 @@ XmitsEstimator::XmitsEstimator(int num_nodes, const XmitsOptions& options)
       pending_(static_cast<size_t>(num_nodes)),
       pending_flag_(static_cast<size_t>(num_nodes), 0) {
   SCOOP_CHECK_GT(num_nodes, 0);
+  // Reserve the all-pairs matrix here rather than in the first Build(): a
+  // base agent is constructed on the caller's thread but first builds on a
+  // sharded-engine worker. Workers are new every run and glibc hands each
+  // one whichever malloc arena is free, so a block first allocated there
+  // lands in a different arena from trial to trial, and every arena it
+  // visits keeps its own 8 MB copy (N = 1024) resident. The reserved pages
+  // stay untouched until Build() fills them.
+  dist_.reserve(static_cast<size_t>(num_nodes) * static_cast<size_t>(num_nodes));
 }
 
 void XmitsEstimator::Clear() {

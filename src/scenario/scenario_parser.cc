@@ -619,6 +619,14 @@ std::vector<KeySpec> ScenarioKeySpecs() {
   return specs;
 }
 
+std::vector<std::string> ScenarioOrderedPairRules() {
+  std::vector<std::string> rules;
+  for (const OrderedPair& pair : kOrderedPairs) {
+    rules.push_back(std::string(pair.lo) + " <= " + pair.hi);
+  }
+  return rules;
+}
+
 Result<Scenario> ParseScenario(std::string_view text, std::string_view origin) {
   Scenario scenario;
   std::vector<std::string> seen_keys;

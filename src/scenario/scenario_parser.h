@@ -70,6 +70,10 @@ struct KeySpec {
 /// Every key's spec, in ScenarioKeyNames() order.
 std::vector<KeySpec> ScenarioKeySpecs();
 
+/// The ordered-pair rules ValidateConfig enforces, one "lo <= hi" string
+/// per pair of keys.
+std::vector<std::string> ScenarioOrderedPairRules();
+
 /// Serializes a scenario back to .scn text emitting every config key, such
 /// that ParseScenario(FormatScenario(s)) reproduces `s` exactly. The one
 /// exception: newlines and comment-starting '#' are not representable in

@@ -74,6 +74,9 @@ class ShardedEngine::Host : public Context {
   std::unique_ptr<App> app_;
 };
 
+/// The floor that set a published promise (ties go to the earlier entry).
+enum EptBind { kBindMac, kBindHead, kBindSafe, kBindAlive };
+
 /// One shard: a deterministic queue, the radio for its nodes, and the
 /// hosts it owns. Everything in here is touched only by the shard's own
 /// thread while a run is in flight.
@@ -115,6 +118,9 @@ struct ShardedEngine::Shard {
   /// most conservative one); null slots = off.
   std::vector<uint64_t*> ctr_ept_slack;
   bool slack_obs = false;  ///< Any ctr_ept_slack slot non-null.
+  /// "shard.ept_bind.<floor>" counters: which floor set each raised
+  /// promise (indexed by EptBind; null = off).
+  uint64_t* ctr_ept_bind[kBindAlive + 1] = {};
   SimTime metrics_interval = 0;
   SimTime next_sample = 0;
 
@@ -386,6 +392,10 @@ void ShardedEngine::EnableObservability(int shard, obs::TraceSink* trace,
           metrics->Counter("shard.ept_slack_us.to" + std::to_string(t));
       sh->slack_obs = true;
     }
+    sh->ctr_ept_bind[kBindMac] = metrics->Counter("shard.ept_bind.mac");
+    sh->ctr_ept_bind[kBindHead] = metrics->Counter("shard.ept_bind.lookahead_head");
+    sh->ctr_ept_bind[kBindSafe] = metrics->Counter("shard.ept_bind.lookahead_safe");
+    sh->ctr_ept_bind[kBindAlive] = metrics->Counter("shard.ept_bind.alive");
     sh->depth_hist = metrics->Hist("queue.occupancy");
     ShardQueue* q = &sh->queue;
     metrics->Gauge("queue.depth", [q] { return static_cast<uint64_t>(q->size()); });
@@ -444,6 +454,16 @@ uint64_t ShardedEngine::mirrored_frames() const {
 }
 
 void ShardedEngine::Push(int from, int to, ShardMsg msg) {
+  // Promise soundness: an announce or abort is never earlier than what
+  // `from` already promised `to` (an abort goes out at the sender's
+  // clock). Acks are exempt: the completion waiting on one stalls at its
+  // shard's queue head, which keeps that shard's own promise covering it.
+  SCOOP_DCHECK(msg.kind == ShardMsg::Kind::kAck ||
+               ept_[static_cast<size_t>(from) * num_shards_ + to].load(
+                   std::memory_order_relaxed) <=
+                   (msg.kind == ShardMsg::Kind::kAnnounce
+                        ? msg.start
+                        : shards_[from]->queue.now()));
   Mailbox& box = mail_[static_cast<size_t>(to) * num_shards_ + from];
   std::lock_guard<std::mutex> lock(box.mu);
   box.msgs.push_back(std::move(msg));
@@ -489,12 +509,12 @@ void ShardedEngine::Drain(Shard* shard) {
   }
 }
 
-bool ShardedEngine::ExecuteUpTo(Shard* shard, SimTime limit) {
+bool ShardedEngine::ExecuteUpTo(Shard* shard, SimTime safe, SimTime end) {
   obs::ScopedBucket bucket(shard->profiler, obs::SimProfiler::kQueue);
+  const SimTime limit = std::min(safe, end);
   bool progress = false;
-  for (;;) {
-    SimTime head = shard->queue.HeadTime();
-    if (head > limit) break;
+  SimTime head = shard->queue.HeadTime();
+  while (head <= limit) {
     if (shard->sample_reg != nullptr) {
       // Sample right before the first event past each grid point, i.e.
       // with exactly the events at or before it executed -- a point in
@@ -517,14 +537,20 @@ bool ShardedEngine::ExecuteUpTo(Shard* shard, SimTime limit) {
     }
     shard->queue.RunOne();
     progress = true;
+    head = shard->queue.HeadTime();
+    if (head > shard->queue.now()) {
+      // This instant is complete: publish the promise it raised now, so a
+      // neighbor waiting on it runs alongside the rest of this batch.
+      obs::ScopedBucket sync(shard->profiler, obs::SimProfiler::kShardSync);
+      PublishEpt(shard, safe, head);
+    }
   }
   return progress;
 }
 
-void ShardedEngine::PublishEpt(Shard* shard, SimTime safe) {
+void ShardedEngine::PublishEpt(Shard* shard, SimTime safe, SimTime head) {
   if (shard->out_mask == 0) return;  // Nobody reads our promises.
   SimTime clock = shard->queue.now();
-  SimTime head = shard->queue.HeadTime();
   const bool head_past_clock = head > clock;
   SimTime alive = shard->AliveFloor();
   // Any transmission this shard has not yet committed to must still clear
@@ -555,6 +581,13 @@ void ShardedEngine::PublishEpt(Shard* shard, SimTime safe) {
     // writes the cell, so load-then-store is race-free.
     if (ept > cell.load(std::memory_order_relaxed)) {
       cell.store(ept, std::memory_order_release);
+      if (shard->ctr_ept_bind[kBindMac] != nullptr) {
+        EptBind bind = ept == mac         ? kBindMac
+                       : ept != lookahead ? kBindAlive
+                       : head <= safe     ? kBindHead
+                                          : kBindSafe;
+        ++*shard->ctr_ept_bind[bind];
+      }
     }
     epts[t] = ept;
     if (ept < min_ept) min_ept = ept;
@@ -589,10 +622,10 @@ void ShardedEngine::RunShard(Shard* shard, SimTime end) {
       safe = SafeTime(*shard);  // Acquire EPTs BEFORE draining, so
       Drain(shard);             // every message behind them is seen.
     }
-    bool progress = ExecuteUpTo(shard, std::min(safe, end));
+    bool progress = ExecuteUpTo(shard, safe, end);
     obs::ScopedBucket sync(shard->profiler, obs::SimProfiler::kShardSync);
     SimTime head = shard->queue.HeadTime();
-    PublishEpt(shard, safe);
+    PublishEpt(shard, safe, head);
     if (stall_ns > 0 && progress) {
       uint64_t us = static_cast<uint64_t>(stall_ns / 1000);
       stall_ns = 0;

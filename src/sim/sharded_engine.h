@@ -29,11 +29,29 @@
 // promise never retreats), producers push a mailbox message BEFORE
 // bumping their EPT (release), and consumers load EPTs (acquire) BEFORE
 // draining, so every message that can affect an executable event is
-// visible before the event runs. Unicast ACK verdicts cross shards too: a
-// completion whose remote verdict is missing simply stalls at the queue
-// head (its own EPT keeps covering it) until the destination shard's
-// evaluation reports back -- which is also why a verdict's emission time
-// needs no promise coverage of its own.
+// visible before the event runs.
+//
+// When promises are published: inside a batch, each time the queue moves
+// past a completed instant, and once more at the end of every run-loop
+// turn (which also covers turns that executed nothing but saw the safe
+// time rise). Publishing as soon as a promise rises lets a neighbor
+// waiting on it run alongside the rest of the batch instead of after it;
+// the lookahead is the same, it is just no longer held back. A mid-batch
+// promise stays sound for the same reasons an end-of-batch one is:
+//   - it comes from the same three floors, evaluated on the shard's
+//     current clock and queue head, and every message an executed event
+//     emitted was pushed before the promise that follows it is released;
+//   - the batch's safe time was loaded before its drain, so every inbound
+//     message below it is already in the queue, and one not yet drained is
+//     at or after it -- min(head, safe) + backoff_min still bounds any
+//     transmission such a message can trigger.
+// In debug builds Push() checks every announce and abort against the
+// sender's published promise.
+//
+// Unicast ACK verdicts cross shards too: a completion whose remote verdict
+// is missing simply stalls at the queue head (its own EPT keeps covering
+// it) until the destination shard's evaluation reports back -- which is
+// also why a verdict's emission time needs no promise coverage of its own.
 //
 // Partitioning (sim/partition.h) slices the topology into K parts:
 // contiguous coordinate strips, or min-cut regions grown on the audible
@@ -207,8 +225,8 @@ class ShardedEngine {
 
   SimTime SafeTime(const Shard& shard) const;
   void Drain(Shard* shard);
-  void PublishEpt(Shard* shard, SimTime safe);
-  bool ExecuteUpTo(Shard* shard, SimTime limit);
+  void PublishEpt(Shard* shard, SimTime safe, SimTime head);
+  bool ExecuteUpTo(Shard* shard, SimTime safe, SimTime end);
   void RunShard(Shard* shard, SimTime end);
   void Push(int from, int to, ShardMsg msg);
 

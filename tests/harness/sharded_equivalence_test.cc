@@ -461,5 +461,25 @@ TEST(ShardedEquivalenceTest, DuplicateReceptionsMatchAcrossShardCounts) {
   }
 }
 
+TEST(ShardedEquivalenceTest, EptBindCountersAttributeEveryRaisedPromise) {
+  // shard.ept_bind.<floor> names the floor that set each promise a shard
+  // raised. How often a promise rises depends on thread timing, so only
+  // the shape is pinned: a lone shard has no reader and publishes nothing,
+  // and several shards do publish, each rise landing in some bucket.
+  ExperimentConfig config = TinyConfig();
+  auto binds_at = [&](int shards) {
+    ExperimentConfig c = config;
+    c.metrics_out = ::testing::TempDir() + "ept-bind-k" + std::to_string(shards) + ".jsonl";
+    RunShardedTrial(c, /*seed=*/13, shards);
+    uint64_t total = 0;
+    for (const char* floor : {"mac", "lookahead_head", "lookahead_safe", "alive"}) {
+      total += FinalShardSum(c.metrics_out, std::string("shard.ept_bind.") + floor);
+    }
+    return total;
+  };
+  EXPECT_EQ(binds_at(1), 0u);
+  EXPECT_GT(binds_at(4), 0u);
+}
+
 }  // namespace
 }  // namespace scoop::harness

@@ -7,13 +7,15 @@
 # and gated by tools/perf_gate.py.
 #
 # Usage: tools/bench_json.sh [build-dir] [output.json]
-#   build-dir   defaults to build-release (cmake --preset release)
+#   build-dir   defaults to build-release (cmake --preset release); a
+#               relative path is taken from the repo root
 #   output.json defaults to BENCH_radio.json in the repo root
 # Environment:
 #   BENCH_MIN_TIME  google-benchmark min seconds per bench (default 0.2;
 #                   CI smoke uses 0.05)
 #   BENCH_FILTER    optional --benchmark_filter regex forwarded to all
-#                   microbenchmark binaries
+#                   microbenchmark binaries; a binary it matches nothing in
+#                   gets no section
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -22,7 +24,10 @@ out="${2:-${repo_root}/BENCH_radio.json}"
 min_time="${BENCH_MIN_TIME:-0.2}"
 filter="${BENCH_FILTER:-}"
 
-bench_dir="${repo_root}/${build_dir}/bench"
+case "${build_dir}" in
+  /*) bench_dir="${build_dir}/bench" ;;
+  *) bench_dir="${repo_root}/${build_dir}/bench" ;;
+esac
 micro_benches=(micro_radio micro_event_queue micro_xmits micro_topology micro_nodeset)
 for name in "${micro_benches[@]}"; do
   if [[ ! -x "${bench_dir}/bench_${name}" ]]; then
@@ -55,7 +60,14 @@ doc = {
     "benchmark_min_time_seconds": float(min_time),
 }
 for name in names:
-    doc[name] = json.load(open(f"{tmp}/{name}.json"))
+    # A binary whose benchmarks BENCH_FILTER matches none of exits 0 and
+    # leaves an empty --benchmark_out file: it has no section to merge.
+    with open(f"{tmp}/{name}.json") as f:
+        text = f.read()
+    if not text.strip():
+        print(f"{name}: no benchmark matched, section skipped", file=sys.stderr)
+        continue
+    doc[name] = json.loads(text)
 with open(out, "w") as f:
     json.dump(doc, f, indent=1)
     f.write("\n")

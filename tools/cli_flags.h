@@ -46,10 +46,15 @@ inline bool ApplyKeyFlag(harness::ExperimentConfig* config, std::string_view arg
   return s.ok();
 }
 
-/// One line per scenario key, generated from the key table.
+/// One line per scenario key, then one per ordered-pair rule, generated
+/// from the key tables.
 inline void PrintKeyFlags(std::FILE* out) {
   for (const scenario::KeySpec& spec : scenario::ScenarioKeySpecs()) {
     std::fprintf(out, "  --%-38s %s\n", spec.name.c_str(), spec.accepts.c_str());
+  }
+  std::fprintf(out, "\nKey pairs that must stay ordered:\n");
+  for (const std::string& rule : scenario::ScenarioOrderedPairRules()) {
+    std::fprintf(out, "  %s\n", rule.c_str());
   }
 }
 
